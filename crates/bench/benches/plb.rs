@@ -13,31 +13,51 @@
 //! identical work. The fixture intentionally leaves headroom (≈66% CPU,
 //! ≈48% disk) so placement always succeeds; a `create` failure here is a
 //! broken fixture, not a benchmark result.
+//!
+//! Placement starts its node scan from the previous decision's ranking,
+//! so an id that reuses one `Plb` on a frozen ring times only the
+//! already-sorted path. Each `plb_place_*` id therefore has a `_cold`
+//! twin that places with a fresh `Plb` per iteration, scanning in id
+//! order as the first placement on a ring does.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use toto_bench::fixtures::{
     bc_spec, loaded_cluster, loaded_cluster_at, push_three_disk_violations,
 };
-use toto_fabric::cluster::ServiceSpec;
+use toto_fabric::cluster::{Cluster, ServiceSpec};
 use toto_fabric::ids::NodeId;
 use toto_fabric::plb::{Plb, PlbConfig};
 use toto_simcore::time::SimTime;
 
+/// Benchmark one placement twice: as `id`, reusing one `Plb` (the warm
+/// path), and as `{id}_cold`, with a fresh `Plb` built untimed per
+/// iteration.
+fn bench_place(c: &mut Criterion, id: &str, cluster: &Cluster, spec: &ServiceSpec, seed: u64) {
+    c.bench_function(id, |b| {
+        let mut plb = Plb::new(PlbConfig::default(), seed);
+        b.iter(|| black_box(plb.place_new_service(cluster, spec).unwrap()))
+    });
+    c.bench_function(&format!("{id}_cold"), |b| {
+        b.iter_batched(
+            || Plb::new(PlbConfig::default(), seed),
+            |mut plb| {
+                black_box(plb.place_new_service(cluster, spec).unwrap());
+                plb
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_placement(c: &mut Criterion) {
     let (cluster, cpu, disk) = loaded_cluster();
     let spec = bc_spec(&cluster, cpu, disk);
-    c.bench_function("plb_place_bc_x4_on_loaded_ring", |b| {
-        let mut plb = Plb::new(PlbConfig::default(), 77);
-        b.iter(|| black_box(plb.place_new_service(&cluster, &spec).unwrap()))
-    });
+    bench_place(c, "plb_place_bc_x4_on_loaded_ring", &cluster, &spec, 77);
     let single = ServiceSpec {
         replica_count: 1,
         ..spec.clone()
     };
-    c.bench_function("plb_place_gp_x1_on_loaded_ring", |b| {
-        let mut plb = Plb::new(PlbConfig::default(), 78);
-        b.iter(|| black_box(plb.place_new_service(&cluster, &single).unwrap()))
-    });
+    bench_place(c, "plb_place_gp_x1_on_loaded_ring", &cluster, &single, 78);
 }
 
 fn bench_violation_fixing(c: &mut Criterion) {
@@ -96,10 +116,8 @@ fn bench_hyperscale_rings(c: &mut Criterion) {
         let services = nodes as u64 * 16;
         let (cluster, cpu, disk) = loaded_cluster_at(nodes, services);
         let spec = bc_spec(&cluster, cpu, disk);
-        c.bench_function(&format!("plb_place_bc_x4_ring_{nodes}"), |b| {
-            let mut plb = Plb::new(PlbConfig::default(), 77);
-            b.iter(|| black_box(plb.place_new_service(&cluster, &spec).unwrap()))
-        });
+        let place_id = format!("plb_place_bc_x4_ring_{nodes}");
+        bench_place(c, &place_id, &cluster, &spec, 77);
         c.bench_function(&format!("plb_fix_violations_pass_ring_{nodes}"), |b| {
             b.iter_batched(
                 || {

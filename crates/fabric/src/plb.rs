@@ -155,11 +155,19 @@ pub struct FailoverEvent {
 /// allocation-free after the first call (buffers are cleared, never
 /// shrunk). Holding them on the `Plb` never aliases cluster state: every
 /// decision method rebuilds the buffers it uses from the cluster it is
-/// handed before reading them.
+/// handed before reading them. The one buffer carried between decisions,
+/// `order`, only sets the order placement visits nodes in, which no
+/// result depends on.
 #[derive(Clone, Debug, Default)]
 struct Scratch {
     /// `(marginal cost, node)` pairs ranked ascending for placement.
     ranked: Vec<(f64, NodeId)>,
+    /// Scan order for the next placement: the last placement's ranking,
+    /// then the nodes it found infeasible. A permutation of the ring's
+    /// node ids, and only a hint — see [`Plb::place_new_service`].
+    order: Vec<NodeId>,
+    /// Nodes the current placement scan found infeasible, in scan order.
+    skipped: Vec<NodeId>,
     /// Marginal placement cost per node, indexed by raw node id; stale
     /// entries are overwritten before each use.
     marginal: Vec<f64>,
@@ -234,15 +242,44 @@ impl Plb {
             .all(|(mid, def)| node.load[mid] + extra[mid] <= def.node_capacity * headroom)
     }
 
+    /// [`fits`](Self::fits) then [`add_cost`](Self::add_cost) in one
+    /// pass over node `n`'s load: the marginal cost of adding `extra`, or
+    /// `None` when it does not fit. The comparisons, float expressions and
+    /// summation order are those of the pair, so the cost is bit-identical.
+    fn fit_cost(cluster: &Cluster, n: NodeId, extra: &LoadVec, headroom: f64) -> Option<f64> {
+        let node = cluster.node(n);
+        if !node.up {
+            return None;
+        }
+        let mut cost = 0.0;
+        for (mid, def) in cluster.metrics().iter() {
+            let sum = node.load[mid] + extra[mid];
+            let fits = sum <= def.node_capacity * headroom;
+            if !fits {
+                return None;
+            }
+            let util = sum / def.node_capacity;
+            cost += def.balancing_weight * util * util;
+        }
+        Some(cost - cluster.node_cost(n))
+    }
+
     /// Decide a placement for a new service: `replica_count` distinct
     /// nodes, primary first. Does not mutate the cluster.
     ///
     /// The marginal cost of each feasible node is computed exactly once
     /// per decision, before sorting; the greedy sort, the annealing loop
-    /// and the final primary sort all read the precomputed table. With a
-    /// cached per-node base cost this makes a placement decision
-    /// O(nodes × metrics + n log n + iterations) instead of
-    /// O(n log n × metrics) cost evaluations with an allocation each.
+    /// and the final primary sort all read the precomputed table.
+    ///
+    /// The ranking is warm-started: nodes are scanned in the previous
+    /// placement's rank order, kept in the scratch buffers. A placement
+    /// changes the load of at most `replica_count` nodes, so the scan
+    /// yields a nearly sorted list and the run-adaptive stable sort
+    /// finishes it in close to linear time instead of sorting ~n
+    /// id-ordered keys. The order is a hint, never state: the sort key
+    /// `(cost by total_cmp, node id)` is a strict total order, so the
+    /// ranked list, every RNG draw and the returned placement are the
+    /// same whatever order the scan visits nodes in.
     pub fn place_new_service(
         &mut self,
         cluster: &Cluster,
@@ -253,12 +290,21 @@ impl Plb {
         let headroom = self.config.placement_headroom;
         // Rank feasible nodes by marginal cost (computed once per node —
         // the comparator only reads precomputed keys). `total_cmp` gives
-        // a total order even for NaN, so the sort cannot panic.
+        // a total order even for NaN, so the sort cannot panic. A `Plb`
+        // handed a ring of another size starts again from id order.
         let ranked = &mut self.scratch.ranked;
+        let order = &mut self.scratch.order;
+        let skipped = &mut self.scratch.skipped;
+        if order.len() != cluster.node_count() {
+            order.clear();
+            order.extend((0..cluster.node_count() as u32).map(NodeId));
+        }
         ranked.clear();
-        for n in cluster.nodes() {
-            if Self::fits(cluster, n.id, &spec.default_load, headroom) {
-                ranked.push((Self::add_cost(cluster, n.id, &spec.default_load), n.id));
+        skipped.clear();
+        for &n in order.iter() {
+            match Self::fit_cost(cluster, n, &spec.default_load, headroom) {
+                Some(cost) => ranked.push((cost, n)),
+                None => skipped.push(n),
             }
         }
         if ranked.len() < k {
@@ -275,17 +321,18 @@ impl Plb {
             });
         }
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        order.clear();
+        order.extend(ranked.iter().map(|&(_, n)| n));
+        order.extend_from_slice(skipped);
         // Marginal-cost lookup table for the anneal, indexed by raw node
-        // id, plus the feasible set in rank order.
+        // id. The feasible set in rank order is the next scan's prefix.
         let marginal = &mut self.scratch.marginal;
         marginal.clear();
         marginal.resize(cluster.node_count(), f64::INFINITY);
         for &(cost, n) in ranked.iter() {
             marginal[n.0 as usize] = cost;
         }
-        let feasible = &mut self.scratch.candidates;
-        feasible.clear();
-        feasible.extend(ranked.iter().map(|&(_, n)| n));
+        let feasible = &self.scratch.order[..ranked.len()];
         // Greedy start: cheapest nodes first, preferring fault domains not
         // already used by this placement.
         let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
@@ -318,13 +365,7 @@ impl Plb {
             // distinct domains`) instead of re-sorted every iteration.
             let counts = &mut self.scratch.domains;
             counts.clear();
-            let max_domain = cluster
-                .nodes()
-                .iter()
-                .map(|n| n.fault_domain)
-                .max()
-                .unwrap_or(0);
-            counts.resize(max_domain as usize + 1, 0);
+            counts.resize(cluster.fault_domain_count(), 0);
             let mut distinct: usize = 0;
             for &n in chosen.iter() {
                 let d = cluster.node(n).fault_domain as usize;
@@ -942,6 +983,15 @@ mod tests {
     use crate::metrics::{MetricDef, MetricRegistry};
 
     fn cluster(nodes: u32, cpu_cap: f64, disk_cap: f64) -> (Cluster, MetricId, MetricId) {
+        cluster_in_domains(nodes, 1, cpu_cap, disk_cap)
+    }
+
+    fn cluster_in_domains(
+        nodes: u32,
+        fault_domains: u32,
+        cpu_cap: f64,
+        disk_cap: f64,
+    ) -> (Cluster, MetricId, MetricId) {
         let mut metrics = MetricRegistry::new();
         let cpu = metrics.register(MetricDef {
             name: "Cpu".into(),
@@ -957,7 +1007,7 @@ mod tests {
             Cluster::new(ClusterConfig {
                 node_count: nodes,
                 metrics,
-                fault_domains: 1,
+                fault_domains,
             }),
             cpu,
             disk,
@@ -1761,5 +1811,93 @@ mod tests {
             Some(1),
             "one unresolved violation must be reported exactly once per call"
         );
+    }
+
+    /// A seeded ring for the hint-independence property: a third of the
+    /// nodes stay empty (cost ties broken by id), most carry a load from
+    /// a coarse grid (more ties), some are too full for any spec the
+    /// property places, and some are down.
+    fn random_ring(nodes: u32, fault_domains: u32, rng: &mut DetRng) -> Cluster {
+        let (mut c, _, _) = cluster_in_domains(nodes, fault_domains, 96.0, 1000.0);
+        for n in 0..nodes {
+            let cpu = match rng.next_below(6) {
+                0 | 1 => continue,
+                2 => 90.0,
+                _ => 8.0 * rng.next_below(8) as f64,
+            };
+            let filler = spec(&c, cpu, 50.0 * rng.next_below(4) as f64, 1);
+            c.add_service(&filler, &[NodeId(n)], SimTime::ZERO);
+            if rng.next_below(10) == 0 {
+                c.set_node_up(NodeId(n), false);
+            }
+        }
+        c
+    }
+
+    mod hint {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn placement_is_independent_of_the_scan_order_hint(
+                nodes in 1u32..1201,
+                fault_domains in 1u32..501,
+                k in 1u32..5,
+                seed: u64,
+            ) {
+                let mut rng = DetRng::seed_from_u64(seed);
+                let c = random_ring(nodes, fault_domains, &mut rng);
+                let s = spec(
+                    &c,
+                    1.0 + rng.next_below(12) as f64,
+                    10.0 * rng.next_below(10) as f64,
+                    k,
+                );
+                for n in c.nodes() {
+                    let fused = Plb::fit_cost(&c, n.id, &s.default_load, 1.0);
+                    let pair = Plb::fits(&c, n.id, &s.default_load, 1.0)
+                        .then(|| Plb::add_cost(&c, n.id, &s.default_load));
+                    prop_assert_eq!(fused.map(f64::to_bits), pair.map(f64::to_bits));
+                }
+                let mut id_order = plb(seed);
+                let mut hinted = id_order.clone();
+                let mut hint: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+                rng.shuffle(&mut hint);
+                hinted.scratch.order = hint;
+                prop_assert_eq!(
+                    id_order.place_new_service(&c, &s),
+                    hinted.place_new_service(&c, &s)
+                );
+                prop_assert_eq!(id_order.rng.next_raw(), hinted.rng.next_raw());
+                let mut left = hinted.scratch.order.clone();
+                left.sort_unstable();
+                prop_assert!(left.iter().copied().eq((0..nodes).map(NodeId)));
+            }
+        }
+    }
+
+    #[test]
+    fn plb_reused_across_ring_sizes_places_like_a_fresh_one() {
+        // The scan-order hint is sized to the last ring placed on; a
+        // smaller ring would index past its nodes and a larger one would
+        // go unscanned unless the hint resets to id order.
+        let mut p = plb(9);
+        for nodes in [300, 40, 300, 7] {
+            let (mut c, _, _) = cluster_in_domains(nodes, 5, 96.0, 1000.0);
+            let mut fresh = Plb {
+                scratch: Scratch::default(),
+                ..p.clone()
+            };
+            for i in 0..20 {
+                let s = spec(&c, 1.0 + f64::from(i % 5), 10.0, 1 + i % 4);
+                let placed = p.place_new_service(&c, &s);
+                assert_eq!(placed, fresh.place_new_service(&c, &s));
+                c.add_service(&s, &placed.unwrap(), SimTime::ZERO);
+            }
+            assert_eq!(p.rng, fresh.rng);
+        }
     }
 }
