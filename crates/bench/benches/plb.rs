@@ -8,8 +8,8 @@
 //! These are the simulator's hottest paths: every density-study tick runs
 //! placement and violation fixing, so a six-day 140%-density fleet calls
 //! them hundreds of thousands of times. The fixtures live in
-//! `toto_bench::fixtures` and are shared with the `bench_track` pinned
-//! suite, so criterion numbers and the recorded benchmark history measure
+//! `toto_bench::fixtures` and are shared with `benchtrack`'s PLB probes,
+//! so criterion numbers and the benchmark's `plb.*_ns` metrics measure
 //! identical work. The fixture intentionally leaves headroom (≈66% CPU,
 //! ≈48% disk) so placement always succeeds; a `create` failure here is a
 //! broken fixture, not a benchmark result.
@@ -108,9 +108,7 @@ fn bench_balancing(c: &mut Criterion) {
 /// Pruned-candidate paths on hyperscale rings. On ≥ 64 nodes
 /// `pick_target` walks the cost-ordered candidate index (capped at
 /// `candidate_limit`), so per-decision cost must stay roughly flat from
-/// 100 to 1,000 nodes — `bench_track --gate` compares these ids against
-/// the recorded benchmark history and fails CI when the asymptotic win
-/// regresses.
+/// 100 to 1,000 nodes.
 fn bench_hyperscale_rings(c: &mut Criterion) {
     for &nodes in &[100u32, 1000] {
         let services = nodes as u64 * 16;

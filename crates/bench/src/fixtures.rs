@@ -1,11 +1,10 @@
 //! Shared PLB benchmark fixtures.
 //!
 //! One construction, two consumers: the criterion benches
-//! (`benches/plb.rs`) and the `bench_track` pinned suite time the
-//! **same** loaded rings, so a criterion number and a tracked series
-//! entry with the same id measure the same work. Keep changes here
-//! synchronized with both; a fixture change invalidates the recorded
-//! history for every `plb_*` metric.
+//! (`benches/plb.rs`) and `benchtrack`'s PLB probes time the **same**
+//! loaded rings, so a criterion number and a `plb.*_ns` benchmark metric
+//! measure the same work. A fixture change makes every `plb_*` figure
+//! incomparable with those measured before it.
 
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
 use toto_fabric::ids::{MetricId, NodeId};

@@ -10,7 +10,6 @@ use toto_fleet::{FleetExecutor, FleetPlan, StderrProgress};
 use toto_spec::ScenarioSpec;
 
 pub mod fixtures;
-pub mod track;
 
 /// The paper's four density levels (§5.2).
 pub const DENSITIES: [u32; 4] = [100, 110, 120, 140];

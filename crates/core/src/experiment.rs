@@ -220,10 +220,6 @@ pub struct ExperimentResult {
     /// Per-fault accounting and oracle counters; `None` when the run
     /// had no chaos plan.
     pub chaos: Option<ChaosReport>,
-    /// Simulation events dispatched over the whole run (bootstrap
-    /// included). Dividing by host wall-clock gives the sim-events/sec
-    /// headline throughput `bench_track` records.
-    pub dispatched_events: u64,
 }
 
 /// The experiment runner.
@@ -545,7 +541,6 @@ impl DensityExperiment {
                 label: "score".to_string(),
             }
         });
-        let dispatched_events = sim.dispatched();
         let state = sim.into_state();
         let chaos = state.chaos.map(|rt| {
             let mut report = rt.report;
@@ -584,7 +579,6 @@ impl DensityExperiment {
             billing: records,
             bootstrap,
             chaos,
-            dispatched_events,
         }
     }
 }

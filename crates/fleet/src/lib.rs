@@ -20,10 +20,7 @@
 //!   with jobs-per-second and ETA reporting.
 //! * **Run-artifact store** ([`store`]): schema-versioned JSON run
 //!   records (fleet manifest, per-job KPI summaries, seeds, wall-clock
-//!   timings) under `results/runs/`, plus an append-only
-//!   `results/benchdata.json` series of commit-stamped benchmark
-//!   records (whole-file rewrites through a temp file + atomic rename),
-//!   so performance trajectories survive across PRs.
+//!   timings) under `results/runs/`.
 //!
 //! [`FleetJob`]: job::FleetJob
 //! [`FleetObserver`]: executor::FleetObserver
@@ -40,7 +37,6 @@ pub use executor::{
 pub use job::{density_fleet, FleetJob, FleetPlan, FleetTask, JobOutput};
 pub use json::Json;
 pub use store::{
-    current_commit, kpis_from_json, kpis_to_json, revenue_from_json, revenue_to_json, BenchEntry,
-    BenchRecord, FleetManifest, ManifestJob, RunRecord, RunStore, BENCH_SCHEMA_VERSION,
-    RUN_SCHEMA_VERSION,
+    kpis_from_json, kpis_to_json, revenue_from_json, revenue_to_json, FleetManifest, ManifestJob,
+    RunRecord, RunStore, RUN_SCHEMA_VERSION,
 };

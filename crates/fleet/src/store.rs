@@ -17,8 +17,6 @@
 //! results/
 //!   runs/<fleet>/manifest.json        (FleetManifest)
 //!   runs/<fleet>/<job-label>.json     (RunRecord, one per job)
-//!   benchdata.json                    (append-only BenchRecord array:
-//!                                      commit-stamped benchmark samples)
 //! ```
 //!
 //! Every record and manifest carries [`RUN_SCHEMA_VERSION`]; loading a
@@ -332,145 +330,6 @@ impl FleetManifest {
     }
 }
 
-/// Schema version of the `benchdata.json` series. Version 1: the file
-/// is an array of commit-stamped [`BenchRecord`] objects (older seeds
-/// stored a flat entry array with no provenance; that shape is no
-/// longer readable and was migrated when this version landed).
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// One point in the benchmark time series
-/// (github-action-benchmark's `customSmallerIsBetter`/`customBiggerIsBetter`
-/// entry shape: name, unit, value).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchEntry {
-    /// Metric name, e.g. `"density-120/adjusted_revenue"`.
-    pub name: String,
-    /// Unit label, e.g. `"$"` or `"jobs/s"`.
-    pub unit: String,
-    /// The measured value.
-    pub value: f64,
-}
-
-impl BenchEntry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("unit", Json::Str(self.unit.clone())),
-            ("value", Json::Num(self.value)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        Ok(BenchEntry {
-            name: json
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("missing bench name")?
-                .to_string(),
-            unit: json
-                .get("unit")
-                .and_then(Json::as_str)
-                .ok_or("missing bench unit")?
-                .to_string(),
-            value: json
-                .get("value")
-                .and_then(Json::as_f64)
-                .ok_or("missing bench value")?,
-        })
-    }
-}
-
-/// One commit's worth of benchmark samples: the unit of append in
-/// `benchdata.json`. Every writer — `bench_track`, `fleet_runner`, the
-/// scenario runner — appends whole records through the same
-/// temp-file-and-rename path, so concurrent-looking writers can never
-/// interleave partial JSON.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRecord {
-    /// Schema version this record was written with.
-    pub schema_version: u64,
-    /// The commit the samples were measured at (short hash, or
-    /// `"unknown"` outside a git checkout).
-    pub commit: String,
-    /// The samples, in suite order.
-    pub entries: Vec<BenchEntry>,
-}
-
-impl BenchRecord {
-    /// A record stamped with the current schema version.
-    pub fn new(commit: impl Into<String>, entries: Vec<BenchEntry>) -> Self {
-        BenchRecord {
-            schema_version: BENCH_SCHEMA_VERSION,
-            commit: commit.into(),
-            entries,
-        }
-    }
-
-    /// The value of the entry named `name`, if present.
-    pub fn value_of(&self, name: &str) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.value)
-    }
-
-    /// Serialize (canonically sorted keys, like every store artifact).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::Uint(self.schema_version)),
-            ("commit", Json::Str(self.commit.clone())),
-            (
-                "entries",
-                Json::Arr(self.entries.iter().map(BenchEntry::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Deserialize, rejecting unknown schema versions.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let version = json
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("bench record missing schema_version")?;
-        if version != BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "bench record schema {version} != supported {BENCH_SCHEMA_VERSION}"
-            ));
-        }
-        Ok(BenchRecord {
-            schema_version: version,
-            commit: json
-                .get("commit")
-                .and_then(Json::as_str)
-                .ok_or("bench record missing commit")?
-                .to_string(),
-            entries: json
-                .get("entries")
-                .and_then(Json::as_arr)
-                .ok_or("bench record missing entries")?
-                .iter()
-                .map(BenchEntry::from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-        })
-    }
-}
-
-/// Best-effort commit stamp for bench records: the short hash of the
-/// checked-out HEAD, or `"unknown"` when git (or a repository) is not
-/// available. Purely observational — commit stamps live in the bench
-/// series, never in deterministic run records.
-pub fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Filesystem-backed artifact store rooted at a results directory.
 #[derive(Clone, Debug)]
 pub struct RunStore {
@@ -581,62 +440,6 @@ impl RunStore {
     pub fn record_bytes(&self, fleet: &str, label: &str) -> io::Result<Vec<u8>> {
         fs::read(self.fleet_dir(fleet).join(format!("{label}.json")))
     }
-
-    /// The benchmark series file this store appends to.
-    pub fn bench_path(&self) -> PathBuf {
-        self.root.join("benchdata.json")
-    }
-
-    /// Append one commit-stamped record to `benchdata.json`, creating
-    /// the series if absent. This is the **single** append path for
-    /// every writer: the whole series is re-rendered and written to a
-    /// temp file in the same directory, then atomically renamed over
-    /// the series, so a reader (or a second writer landing just after)
-    /// always sees a complete, parseable array — never a torn write.
-    /// Returns the file path.
-    pub fn append_bench_record(&self, record: &BenchRecord) -> io::Result<PathBuf> {
-        fs::create_dir_all(&self.root)?;
-        let path = self.bench_path();
-        let mut all = self.load_bench_records()?;
-        all.push(record.clone());
-        let json = Json::Arr(all.iter().map(BenchRecord::to_json).collect());
-        let tmp = self
-            .root
-            .join(format!("benchdata.json.tmp.{}", std::process::id()));
-        fs::write(&tmp, json.render())?;
-        fs::rename(&tmp, &path)?;
-        Ok(path)
-    }
-
-    /// Read back the whole benchmark series, oldest record first
-    /// (empty if never written).
-    pub fn load_bench_records(&self) -> io::Result<Vec<BenchRecord>> {
-        let path = self.bench_path();
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        Json::parse(&text)
-            .map_err(invalid)?
-            .as_arr()
-            .ok_or_else(|| invalid("benchdata.json is not an array"))?
-            .iter()
-            .map(BenchRecord::from_json)
-            .collect::<Result<Vec<_>, String>>()
-            .map_err(invalid)
-    }
-
-    /// The per-metric history across the series, oldest first: every
-    /// value recorded under `name`, in append order. Feed this to
-    /// `toto_stats::regression::gate_metric` as the trailing history.
-    pub fn bench_history(&self, name: &str) -> io::Result<Vec<f64>> {
-        Ok(self
-            .load_bench_records()?
-            .iter()
-            .filter_map(|r| r.value_of(name))
-            .collect())
-    }
 }
 
 fn invalid(message: impl ToString) -> io::Error {
@@ -722,106 +525,6 @@ mod tests {
             store.load_record("density-study", "density-120").unwrap(),
             records[0]
         );
-
-        store
-            .append_bench_record(&BenchRecord::new(
-                "aaaa111",
-                vec![BenchEntry {
-                    name: "fleet/jobs_per_sec".to_string(),
-                    unit: "jobs/s".to_string(),
-                    value: 2.5,
-                }],
-            ))
-            .unwrap();
-        store
-            .append_bench_record(&BenchRecord::new(
-                "bbbb222",
-                vec![BenchEntry {
-                    name: "fleet/jobs_per_sec".to_string(),
-                    unit: "jobs/s".to_string(),
-                    value: 3.0,
-                }],
-            ))
-            .unwrap();
-        let series = store.load_bench_records().unwrap();
-        assert_eq!(series.len(), 2, "benchdata.json must append, not overwrite");
-        assert_eq!(series[1].commit, "bbbb222");
-        assert_eq!(series[1].value_of("fleet/jobs_per_sec"), Some(3.0));
-        assert_eq!(
-            store.bench_history("fleet/jobs_per_sec").unwrap(),
-            vec![2.5, 3.0]
-        );
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_record_round_trips_and_rejects_unknown_schema() {
-        let record = BenchRecord::new(
-            "abc1234",
-            vec![BenchEntry {
-                name: "plb_place_bc_x4_ring_100".to_string(),
-                unit: "ns/iter".to_string(),
-                value: 15_320.0,
-            }],
-        );
-        let back = BenchRecord::from_json(&record.to_json()).unwrap();
-        assert_eq!(back, record);
-        assert_eq!(back.to_json().render(), record.to_json().render());
-
-        let mut wrong = record.clone();
-        wrong.schema_version = BENCH_SCHEMA_VERSION + 1;
-        let err = BenchRecord::from_json(&wrong.to_json()).unwrap_err();
-        assert!(err.contains("schema"), "got: {err}");
-    }
-
-    #[test]
-    fn sequential_appends_preserve_prior_entries_byte_for_byte() {
-        let dir = std::env::temp_dir().join(format!(
-            "toto-bench-append-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let store = RunStore::new(&dir);
-        let entry = |v: f64| BenchEntry {
-            name: "suite/metric".to_string(),
-            unit: "ns/iter".to_string(),
-            value: v,
-        };
-        store
-            .append_bench_record(&BenchRecord::new("c0ffee1", vec![entry(100.0)]))
-            .unwrap();
-        let first = fs::read(store.bench_path()).unwrap();
-
-        store
-            .append_bench_record(&BenchRecord::new("c0ffee2", vec![entry(101.0)]))
-            .unwrap();
-        let second = fs::read(store.bench_path()).unwrap();
-
-        // The first record's rendered bytes survive the second append
-        // unchanged: the rewrite re-renders parsed records, and
-        // render(parse(render(x))) == render(x) for every artifact. The
-        // series after two appends is the first file with its closing
-        // "\n]\n" replaced by ",\n  {record2}...", so the first file
-        // minus that suffix must be a byte prefix of the second.
-        let first_text = String::from_utf8(first).unwrap();
-        let second_text = String::from_utf8(second).unwrap();
-        let first_body = first_text
-            .strip_suffix("\n]\n")
-            .expect("series must end with a closing bracket");
-        assert!(
-            second_text.starts_with(first_body),
-            "append must preserve the prior record byte-for-byte;\nfirst:\n{first_text}\nsecond:\n{second_text}"
-        );
-        assert!(second_text.contains("c0ffee2"));
-        // No temp file left behind.
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
-            .filter(|n| n.contains("tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "temp files must be renamed away");
 
         let _ = fs::remove_dir_all(&dir);
     }

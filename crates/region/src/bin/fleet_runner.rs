@@ -289,16 +289,6 @@ fn main() {
                 .expect("write chaos sidecar");
         }
     }
-    store
-        .append_bench_record(&toto_fleet::BenchRecord::new(
-            toto_fleet::current_commit(),
-            vec![toto_fleet::BenchEntry {
-                name: format!("{}/jobs_per_sec", manifest.fleet),
-                unit: "jobs/s".to_string(),
-                value: report.jobs_per_sec(),
-            }],
-        ))
-        .expect("append benchdata.json");
 
     println!(
         "{:<24} {:>10} {:>14} {:>10} {:>10}",

@@ -316,16 +316,6 @@ fn run_fleet(
                 .as_bytes(),
         )
         .map_err(io_err("sweep.json"))?;
-    store
-        .append_bench_record(&toto_fleet::BenchRecord::new(
-            toto_fleet::current_commit(),
-            vec![toto_fleet::BenchEntry {
-                name: format!("{}/jobs_per_sec", manifest.fleet),
-                unit: "jobs/s".to_string(),
-                value: report.jobs_per_sec(),
-            }],
-        ))
-        .map_err(io_err("benchdata.json"))?;
 
     let chaos_violations: u64 = report
         .completed()

@@ -148,7 +148,6 @@ impl<S> CalendarQueue<S> {
 pub struct Scheduler<S> {
     now: SimTime,
     seq: u64,
-    dispatched: u64,
     queue: CalendarQueue<S>,
 }
 
@@ -157,7 +156,6 @@ impl<S> Scheduler<S> {
         Scheduler {
             now: SimTime::ZERO,
             seq: 0,
-            dispatched: 0,
             queue: CalendarQueue::new(),
         }
     }
@@ -170,14 +168,6 @@ impl<S> Scheduler<S> {
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Number of events dispatched so far. `seq` counts *scheduled*
-    /// events; this counts the ones that actually fired — the
-    /// denominator-free numerator of the sim-events/sec headline
-    /// metric. Purely observational: reading it never perturbs the run.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -268,11 +258,6 @@ impl<S> Simulation<S> {
         &mut self.scheduler
     }
 
-    /// Number of events dispatched so far (see [`Scheduler::dispatched`]).
-    pub fn dispatched(&self) -> u64 {
-        self.scheduler.dispatched
-    }
-
     /// Dispatch one already-popped event: advance the clock, trace,
     /// run the callback, then the post-dispatch hook. Shared by
     /// [`Simulation::step`] and the [`Simulation::run_until`] hot loop.
@@ -280,7 +265,6 @@ impl<S> Simulation<S> {
     fn dispatch(&mut self, ev: QueuedEvent<S>) {
         debug_assert!(ev.at >= self.scheduler.now, "time went backwards");
         self.scheduler.now = ev.at;
-        self.scheduler.dispatched += 1;
         if toto_trace::is_active() {
             toto_trace::set_now_secs(ev.at.as_secs());
             toto_trace::emit(toto_trace::EventKind::Dispatch, || {

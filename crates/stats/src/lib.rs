@@ -24,8 +24,6 @@
 //! * [`describe`] — five-number summaries and dispersion statistics for the
 //!   paper's many box plots.
 //! * [`error`] — RMSE and friends (§4.2.2's second error measure).
-//! * [`regression`] — trailing-median benchmark gates with typed verdicts
-//!   (the CI benchmark history's dispersion-aware thresholds).
 //! * [`special`] — erf/erfc and the normal quantile, shared numerics.
 
 pub mod binning;
@@ -35,7 +33,6 @@ pub mod dtw;
 pub mod error;
 pub mod kde;
 pub mod ks;
-pub mod regression;
 pub mod special;
 pub mod wilcoxon;
 
@@ -46,5 +43,4 @@ pub use dtw::dtw_distance;
 pub use error::{mae, rmse};
 pub use kde::GaussianKde;
 pub use ks::{ks_test_normal, ks_test_two_sample, ks_test_with_cdf, KsResult};
-pub use regression::{gate_metric, trailing_median, Direction, GateError, GateVerdict};
 pub use wilcoxon::{wilcoxon_signed_rank, WilcoxonResult};

@@ -17,7 +17,7 @@
 //!    any simulation artifact is written.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use toto_fleet::{
     density_fleet, FleetExecutor, FleetManifest, ManifestJob, NullObserver, RunRecord, RunStore,
     RUN_SCHEMA_VERSION,
@@ -68,28 +68,51 @@ fn run_sweep(dir: &PathBuf, threads: usize, seeds: u64) -> RunStore {
     RunStore::new(dir)
 }
 
+/// File names directly under `dir`, sorted.
+fn entry_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .expect("readable directory")
+        .map(|e| {
+            e.expect("directory entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
 fn scenario_records_are_byte_identical_on_1_and_8_workers() {
     let serial_dir = scratch_dir("serial");
     let parallel_dir = scratch_dir("parallel");
-    let serial = run_sweep(&serial_dir, 1, 1);
-    let parallel = run_sweep(&parallel_dir, 8, 1);
+    run_sweep(&serial_dir, 1, 1);
+    run_sweep(&parallel_dir, 8, 1);
 
-    for density in [100u32, 110, 120, 140] {
-        let label = format!("density-{density}");
-        let a = serial
-            .record_bytes("density-sweep", &label)
-            .expect("serial record");
-        let b = parallel
-            .record_bytes("density-sweep", &label)
-            .expect("parallel record");
-        assert!(a == b, "{label}: 1-thread and 8-thread records must match");
+    // The output directory is a pure function of the run: the store root
+    // holds nothing beside `runs/`, and every file of the fleet except the
+    // observational manifest (threads, wall-clock) matches byte for byte.
+    let fleet = |root: &PathBuf| root.join("runs").join("density-sweep");
+    for root in [&serial_dir, &parallel_dir] {
+        assert_eq!(entry_names(root), ["runs"], "{}", root.display());
     }
-    // The declarative artifacts are worker-count-independent too.
-    for file in ["oracle.json", "density-sweep.scenario.toml"] {
-        let a = serial.artifact_bytes("density-sweep", file).expect(file);
-        let b = parallel.artifact_bytes("density-sweep", file).expect(file);
-        assert!(a == b, "{file} must not depend on worker count");
+    let files = entry_names(&fleet(&serial_dir));
+    assert_eq!(files, entry_names(&fleet(&parallel_dir)));
+    for expected in [
+        "density-100.json",
+        "density-110.json",
+        "density-120.json",
+        "density-140.json",
+        "oracle.json",
+        "density-sweep.scenario.toml",
+    ] {
+        assert!(files.iter().any(|f| f == expected), "missing {expected}");
+    }
+    for file in files.iter().filter(|f| *f != "manifest.json") {
+        let a = fs::read(fleet(&serial_dir).join(file)).expect("serial artifact");
+        let b = fs::read(fleet(&parallel_dir).join(file)).expect("parallel artifact");
+        assert!(a == b, "{file}: 1-worker and 8-worker bytes must match");
     }
 
     let _ = fs::remove_dir_all(&serial_dir);
