@@ -158,7 +158,7 @@ impl ChaosPlan {
         self.faults.is_empty()
     }
 
-    /// Built-in named plans (`fleet_runner --chaos <name>`).
+    /// Built-in named plans (a scenario's `[chaos] plan = "<name>"`).
     ///
     /// Returns `None` for unknown names; [`ChaosPlan::NAMED`] lists the
     /// valid ones.

@@ -218,10 +218,7 @@ pub fn extract_calls(tokens: &[Token], range: (usize, usize)) -> Vec<Call> {
             // Walk the path backwards: … seg :: seg :: name(
             let mut segs = Vec::new();
             let mut k = j - 2;
-            loop {
-                let Some(seg) = k.checked_sub(1).map(|p| &tokens[p]) else {
-                    break;
-                };
+            while let Some(seg) = k.checked_sub(1).map(|p| &tokens[p]) {
                 if seg.kind != TokenKind::Ident {
                     break;
                 }
@@ -273,14 +270,13 @@ impl CallGraph {
         let impl_types: BTreeSet<&str> = by_type_name.iter().map(|((ty, _), _)| *ty).collect();
 
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); ws.fns.len()];
-        for caller in 0..ws.fns.len() {
+        for (caller, caller_edges) in edges.iter_mut().enumerate() {
             let def = ws.fn_def(caller);
             let Some(body) = def.body_inner() else {
                 continue;
             };
             let tokens = ws.fn_tokens(caller);
             let caller_crate = ws.fn_crate(caller);
-            let caller_file = ws.fns[caller].0;
             let in_closure =
                 |id: usize| -> bool { ws.closure[caller_crate].contains(&ws.fn_crate(id)) };
             let mut callees: BTreeSet<usize> = BTreeSet::new();
@@ -366,8 +362,7 @@ impl CallGraph {
             // A fn trivially "calls" itself only through recursion, which
             // adds nothing to reachability; drop self-edges for clarity.
             callees.remove(&caller);
-            let _ = caller_file;
-            edges[caller] = callees.into_iter().collect();
+            *caller_edges = callees.into_iter().collect();
         }
         CallGraph { edges }
     }

@@ -1,13 +1,13 @@
 //! Linter configuration, loaded from `lint.toml` at the workspace root.
 //!
-//! The build environment has no TOML crate, so this module parses the
-//! small TOML subset the config actually uses: `[section]` headers,
-//! `[[array-of-tables]]` headers, `key = "string"` and
-//! `key = ["a", "b"]` assignments, and `#` comments. Anything outside
-//! that subset is a hard configuration error — a linter that silently
+//! The syntax is the workspace's one TOML subset
+//! ([`toto_spec::toml::RawDoc`]); this module is only the typed layer
+//! over it. Every section, key, rule and value shape outside the config
+//! grammar is a hard configuration error — a linter that silently
 //! ignores half its config is worse than no linter.
 
 use std::collections::BTreeMap;
+use toto_spec::toml::{Entry, RawDoc, Table, Value};
 
 /// Diagnostic severity / rule level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -144,214 +144,118 @@ impl Config {
     /// Parse a `lint.toml` document. Unknown sections, keys, rules or
     /// value shapes are errors.
     pub fn from_toml_str(text: &str) -> Result<Config, String> {
-        let mut config = Config::default();
+        let raw = RawDoc::parse(text).map_err(|e| e.to_string())?;
         // Sections configured by the file replace the built-in defaults
         // rather than appending to them.
-        let mut section = String::new();
-        let mut pending_allow: Option<BTreeMap<String, String>> = None;
-        let mut allows: Vec<AllowEntry> = Vec::new();
-
-        let flush_allow = |pending: &mut Option<BTreeMap<String, String>>,
-                           allows: &mut Vec<AllowEntry>|
-         -> Result<(), String> {
-            if let Some(map) = pending.take() {
-                let get = |k: &str| -> Result<String, String> {
-                    map.get(k)
-                        .cloned()
-                        .ok_or_else(|| format!("[[allow]] entry is missing `{k}`"))
-                };
-                let entry = AllowEntry {
-                    rule: get("rule")?,
-                    path: get("path")?,
-                    reason: get("reason")?,
-                };
-                if !KNOWN_RULES.contains(&entry.rule.as_str()) {
-                    return Err(format!(
-                        "L001: [[allow]] names unknown rule {:?}; known rules: {}",
-                        entry.rule,
-                        KNOWN_RULES.join(", ")
-                    ));
-                }
-                if entry.reason.trim().is_empty() {
-                    return Err(format!(
-                        "[[allow]] for {} in {} has an empty reason; every exemption \
-                         must be justified",
-                        entry.rule, entry.path
-                    ));
-                }
-                allows.push(entry);
+        let mut config = Config::default();
+        for (section, (line, table)) in &raw.sections {
+            if !matches!(
+                section.as_str(),
+                "scan" | "classes" | "levels" | "rules.D002" | "rules.R002"
+            ) {
+                return Err(format!("line {line}: unknown section [{section}]"));
             }
-            Ok(())
-        };
-
-        for (lineno, line) in logical_lines(text) {
-            let line = line.as_str();
-            if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-                if header.trim() != "allow" {
-                    return Err(format!("line {lineno}: unknown array table [[{header}]]"));
-                }
-                flush_allow(&mut pending_allow, &mut allows)?;
-                pending_allow = Some(BTreeMap::new());
-                section = "allow".to_string();
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                flush_allow(&mut pending_allow, &mut allows)?;
-                section = header.trim().to_string();
-                match section.as_str() {
-                    "scan" | "classes" | "levels" | "rules.D002" | "rules.R002" => {}
-                    other => return Err(format!("line {lineno}: unknown section [{other}]")),
-                }
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-            let key = key.trim();
-            let value = parse_value(value.trim())
-                .ok_or_else(|| format!("line {lineno}: malformed value for `{key}`"))?;
-            match (section.as_str(), key) {
-                ("scan", "exclude") => config.exclude = value.into_array(lineno, key)?,
-                ("classes", "sim_path") => config.sim_path = value.into_array(lineno, key)?,
-                ("levels", rule) => {
-                    if !KNOWN_RULES.contains(&rule) {
+            for (key, entry) in table {
+                let lineno = entry.line;
+                match (section.as_str(), key.as_str()) {
+                    ("scan", "exclude") => config.exclude = strings(entry, key)?,
+                    ("classes", "sim_path") => config.sim_path = strings(entry, key)?,
+                    ("levels", rule) => {
+                        if !KNOWN_RULES.contains(&rule) {
+                            return Err(format!(
+                                "line {lineno}: L001: unknown rule `{rule}` in [levels]; \
+                                 known rules: {}",
+                                KNOWN_RULES.join(", ")
+                            ));
+                        }
+                        let level = Level::parse(&string(entry, key)?).ok_or_else(|| {
+                            format!("line {lineno}: level for {rule} must be off|warn|error")
+                        })?;
+                        config.levels.insert(rule.to_string(), level);
+                    }
+                    ("rules.D002", "allowed_paths") => {
+                        config.d002_allowed_paths = strings(entry, key)?
+                    }
+                    ("rules.R002", "paths") => config.r002_paths = strings(entry, key)?,
+                    ("rules.R002", "mut_state_types") => {
+                        config.r002_mut_state_types = strings(entry, key)?
+                    }
+                    _ => {
                         return Err(format!(
-                            "line {lineno}: L001: unknown rule `{rule}` in [levels]; \
-                             known rules: {}",
-                            KNOWN_RULES.join(", ")
+                            "line {lineno}: unknown key `{key}` in section [{section}]"
                         ));
                     }
-                    let s = value.into_string(lineno, key)?;
-                    let level = Level::parse(&s).ok_or_else(|| {
-                        format!("line {lineno}: level for {rule} must be off|warn|error")
-                    })?;
-                    config.levels.insert(rule.to_string(), level);
-                }
-                ("rules.D002", "allowed_paths") => {
-                    config.d002_allowed_paths = value.into_array(lineno, key)?
-                }
-                ("rules.R002", "paths") => config.r002_paths = value.into_array(lineno, key)?,
-                ("rules.R002", "mut_state_types") => {
-                    config.r002_mut_state_types = value.into_array(lineno, key)?
-                }
-                ("allow", k @ ("rule" | "path" | "reason")) => {
-                    let map = pending_allow
-                        .as_mut()
-                        .ok_or_else(|| format!("line {lineno}: key outside [[allow]] entry"))?;
-                    map.insert(k.to_string(), value.into_string(lineno, key)?);
-                }
-                _ => {
-                    return Err(format!(
-                        "line {lineno}: unknown key `{key}` in section [{section}]"
-                    ));
                 }
             }
         }
-        flush_allow(&mut pending_allow, &mut allows)?;
-        config.allow = allows;
+        for (name, entries) in &raw.tables {
+            if name != "allow" {
+                let line = entries.first().map_or(0, |(l, _)| *l);
+                return Err(format!("line {line}: unknown array table [[{name}]]"));
+            }
+            for (line, table) in entries {
+                config.allow.push(allow_entry(*line, table)?);
+            }
+        }
         Ok(config)
     }
 }
 
-enum Value {
-    Str(String),
-    Arr(Vec<String>),
+fn allow_entry(line: usize, table: &Table) -> Result<AllowEntry, String> {
+    if let Some((key, entry)) = table
+        .iter()
+        .find(|(k, _)| !matches!(k.as_str(), "rule" | "path" | "reason"))
+    {
+        return Err(format!(
+            "line {}: unknown key `{key}` in [[allow]] entry",
+            entry.line
+        ));
+    }
+    let get = |k: &str| match table.get(k) {
+        Some(entry) => string(entry, k),
+        None => Err(format!("line {line}: [[allow]] entry is missing `{k}`")),
+    };
+    let entry = AllowEntry {
+        rule: get("rule")?,
+        path: get("path")?,
+        reason: get("reason")?,
+    };
+    if !KNOWN_RULES.contains(&entry.rule.as_str()) {
+        return Err(format!(
+            "L001: [[allow]] names unknown rule {:?}; known rules: {}",
+            entry.rule,
+            KNOWN_RULES.join(", ")
+        ));
+    }
+    if entry.reason.trim().is_empty() {
+        return Err(format!(
+            "[[allow]] for {} in {} has an empty reason; every exemption \
+             must be justified",
+            entry.rule, entry.path
+        ));
+    }
+    Ok(entry)
 }
 
-impl Value {
-    fn into_string(self, lineno: usize, key: &str) -> Result<String, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            Value::Arr(_) => Err(format!("line {lineno}: `{key}` must be a string")),
-        }
-    }
-
-    fn into_array(self, lineno: usize, key: &str) -> Result<Vec<String>, String> {
-        match self {
-            Value::Arr(v) => Ok(v),
-            Value::Str(_) => Err(format!("line {lineno}: `{key}` must be an array")),
-        }
+fn string(entry: &Entry, key: &str) -> Result<String, String> {
+    match &entry.value {
+        Value::Str(s) => Ok(s.clone()),
+        _ => Err(format!("line {}: `{key}` must be a string", entry.line)),
     }
 }
 
-/// Net `[`-minus-`]` count outside quoted strings, for multi-line arrays.
-fn bracket_balance(line: &str) -> i32 {
-    let mut in_str = false;
-    let mut balance = 0;
-    for b in line.bytes() {
-        match b {
-            b'"' => in_str = !in_str,
-            b'[' if !in_str => balance += 1,
-            b']' if !in_str => balance -= 1,
-            _ => {}
-        }
+fn strings(entry: &Entry, key: &str) -> Result<Vec<String>, String> {
+    let not_strings = || format!("line {}: `{key}` must be an array of strings", entry.line);
+    match &entry.value {
+        Value::Arr(items) => items
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => Ok(s.clone()),
+                _ => Err(not_strings()),
+            })
+            .collect(),
+        _ => Err(not_strings()),
     }
-    balance
-}
-
-/// Fold the document into logical `(lineno, text)` lines: comments
-/// stripped, blanks dropped, and a `key = [` array spliced together with
-/// its continuation lines until the brackets balance. Section headers are
-/// bracketed too, so the fold only engages when a `=` is present.
-fn logical_lines(text: &str) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    let mut open = 0i32;
-    for (idx, raw_line) in text.lines().enumerate() {
-        let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if open > 0 {
-            let (_, buf) = out.last_mut().expect("continuation follows an opener");
-            buf.push(' ');
-            buf.push_str(line);
-            open += bracket_balance(line);
-            continue;
-        }
-        out.push((idx + 1, line.to_string()));
-        if line.contains('=') {
-            open = bracket_balance(line).max(0);
-        }
-    }
-    out
-}
-
-/// Strip a trailing `#` comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, b) in line.bytes().enumerate() {
-        match b {
-            b'"' => in_str = !in_str,
-            b'#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_value(text: &str) -> Option<Value> {
-    if let Some(inner) = text.strip_prefix('[').and_then(|t| t.strip_suffix(']')) {
-        let inner = inner.trim();
-        if inner.is_empty() {
-            return Some(Value::Arr(Vec::new()));
-        }
-        let mut items = Vec::new();
-        for item in inner.split(',') {
-            let item = item.trim();
-            if item.is_empty() {
-                continue; // trailing comma
-            }
-            items.push(parse_string(item)?);
-        }
-        return Some(Value::Arr(items));
-    }
-    parse_string(text).map(Value::Str)
-}
-
-fn parse_string(text: &str) -> Option<String> {
-    text.strip_prefix('"')
-        .and_then(|t| t.strip_suffix('"'))
-        .map(|s| s.to_string())
 }
 
 #[cfg(test)]

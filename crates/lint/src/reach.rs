@@ -257,10 +257,7 @@ pub fn analyze(
             }
         }
 
-        for id in 0..n {
-            if !visited[id] {
-                continue;
-            }
+        for (id, _) in visited.iter().enumerate().filter(|&(_, &v)| v) {
             let def = ws.fn_def(id);
             let Some(body) = def.body_inner() else {
                 continue;
@@ -334,13 +331,12 @@ pub fn analyze(
                 break;
             }
         }
-        for id in 0..n {
+        for (id, _) in emits.iter().enumerate().filter(|&(_, &e)| !e) {
             let def = ws.fn_def(id);
             let path = ws.fn_file(id);
             if !def.is_pub
                 || def.in_test
                 || def.body.is_none()
-                || emits[id]
                 || !config.r002_paths.iter().any(|p| path_has_prefix(path, p))
                 || !takes_mut_state(ws.fn_tokens(id), def.params, &config.r002_mut_state_types)
             {
@@ -387,11 +383,14 @@ mod tests {
                 )
             })
             .collect();
-        let mut config = Config::default();
-        config.sim_path = vec!["crates/simcore".into(), "crates/core".into()];
-        // Make `fleet` a D002-allowed zone so its wall-clock sites escape
-        // the base rule — the exact scenario D004 exists to cover.
-        config.d002_allowed_paths = vec!["crates/fleet".into()];
+        let config = Config {
+            sim_path: vec!["crates/simcore".into(), "crates/core".into()],
+            // Make `fleet` a D002-allowed zone so its wall-clock sites
+            // escape the base rule — the exact scenario D004 exists to
+            // cover.
+            d002_allowed_paths: vec!["crates/fleet".into()],
+            ..Config::default()
+        };
         let ws = Workspace::build(&sources, &deps);
         let graph = CallGraph::build(&ws);
         analyze(&ws, &graph, &config)

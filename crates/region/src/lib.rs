@@ -26,8 +26,9 @@
 //!    attribution aggregate into the [`record::RegionRunRecord`].
 //!
 //! The `study_region` binary compares single-ring density runs against
-//! a mixed-density region; `fleet_runner --region <spec>` runs any named
-//! or XML region spec through the worker pool.
+//! a mixed-density region; `toto run` runs any region scenario (a
+//! built-in region or rings spelled out in `[region]`) through the
+//! worker pool.
 
 pub mod plan;
 pub mod record;
@@ -40,3 +41,4 @@ pub use run::{
     save_region_run, RegionRunOutput, RegionRunner, REGION_RECORD_FILE, REGION_TRACE_FILE,
 };
 pub use spec::{RegionSpec, RingSpec};
+pub use toto_controlplane::PlacementPolicy;

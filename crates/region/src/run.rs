@@ -32,7 +32,8 @@ pub struct RegionRunner {
     pub trace: bool,
     /// Fault-injection plan applied to ring jobs (empty = none).
     pub chaos: ChaosPlan,
-    /// Restrict the chaos plan to one named ring (`--chaos plan@ring`).
+    /// Restrict the chaos plan to one named ring (a scenario's
+    /// `[chaos] ring`).
     /// `None` applies the plan to every ring.
     pub chaos_ring: Option<String>,
 }
@@ -89,7 +90,7 @@ impl RegionRunner {
             return spec;
         };
         let Some(ring) = spec.rings.iter_mut().find(|r| &r.name == ring_name) else {
-            panic!("--chaos targets unknown ring {ring_name:?}");
+            panic!("chaos targets unknown ring {ring_name:?}");
         };
         if ring.decommission_hour.is_none() {
             let promote = self

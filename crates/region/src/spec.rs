@@ -1,17 +1,16 @@
 //! Region specifications: a named set of heterogeneous fabric rings
 //! behind one region-level admission layer.
 //!
-//! Like every other spec in the workspace, a [`RegionSpec`] round-trips
-//! through XML (§3.3.1's declarative idiom) so a region run is a pure
-//! function of `(spec, seed)`. Each [`RingSpec`] describes one simulated
-//! fabric ring: its density ladder value, node count, and lifecycle
-//! (optional build-out hour, optional decommission hour). Ring order in
-//! the spec is load-bearing: it fixes ring indices, seed lineages and
-//! policy tie-breaks.
+//! A region run is a pure function of `(spec, seed)`. Regions are
+//! declared in a scenario's `[region]` table, either by built-in name
+//! ([`RegionSpec::named`]) or ring by ring. Each [`RingSpec`] describes
+//! one simulated fabric ring: its density ladder value, node count, and
+//! lifecycle (optional build-out hour, optional decommission hour). Ring
+//! order in the spec is load-bearing: it fixes ring indices, seed
+//! lineages and policy tie-breaks.
 
 use toto_controlplane::PlacementPolicy;
 use toto_simcore::rng::SeedTree;
-use toto_spec::xml::{ParseError, XmlElement};
 use toto_spec::ScenarioSpec;
 
 /// One fabric ring in a region.
@@ -55,7 +54,7 @@ pub struct RegionSpec {
 }
 
 impl RegionSpec {
-    /// Built-in named regions (`fleet_runner --region <name>`). Returns
+    /// Built-in named regions (a scenario's `[region] spec = "<name>"`). Returns
     /// `None` for unknown names; [`RegionSpec::NAMED`] lists them.
     pub fn named(name: &str) -> Option<RegionSpec> {
         let ring = |name: &str, density: u32, nodes: u32| RingSpec {
@@ -166,79 +165,6 @@ impl RegionSpec {
     pub fn region_route_seed(&self) -> u64 {
         SeedTree::new(self.seed).child("route", 0).seed()
     }
-
-    /// Serialise to an XML element (`<region>`).
-    pub fn to_xml(&self) -> XmlElement {
-        let mut root = XmlElement::new("region")
-            .attr("name", &self.name)
-            .attr("policy", self.policy.name())
-            .attr("durationHours", self.duration_hours)
-            .attr("seed", self.seed);
-        for ring in &self.rings {
-            let mut el = XmlElement::new("ring")
-                .attr("name", &ring.name)
-                .attr("density", ring.density_percent)
-                .attr("nodes", ring.node_count)
-                .attr("startHour", ring.start_hour);
-            if let Some(h) = ring.decommission_hour {
-                el = el.attr("decommissionHour", h);
-            }
-            if let Some(s) = ring.plb_seed {
-                el = el.attr("plbSeed", s);
-            }
-            root = root.child(el);
-        }
-        root
-    }
-
-    /// Serialise to an XML document string.
-    pub fn to_xml_string(&self) -> String {
-        self.to_xml().to_xml_string()
-    }
-
-    /// Parse from an XML element produced by [`RegionSpec::to_xml`].
-    pub fn from_xml(el: &XmlElement) -> Result<RegionSpec, ParseError> {
-        if el.name != "region" {
-            return Err(ParseError {
-                offset: 0,
-                message: format!("expected <region>, found <{}>", el.name),
-            });
-        }
-        let policy_name: String = el.parse_attr("policy")?;
-        let policy = PlacementPolicy::from_name(&policy_name).ok_or_else(|| ParseError {
-            offset: 0,
-            message: format!("unknown placement policy {policy_name:?}"),
-        })?;
-        let mut rings = Vec::new();
-        for child in el.children_named("ring") {
-            rings.push(RingSpec {
-                name: child.parse_attr("name")?,
-                density_percent: child.parse_attr("density")?,
-                node_count: child.parse_attr("nodes")?,
-                start_hour: child.parse_attr("startHour")?,
-                decommission_hour: opt_attr(child, "decommissionHour")?,
-                plb_seed: opt_attr(child, "plbSeed")?,
-            });
-        }
-        if rings.is_empty() {
-            return Err(ParseError {
-                offset: 0,
-                message: "<region> needs at least one <ring>".to_string(),
-            });
-        }
-        Ok(RegionSpec {
-            name: el.parse_attr("name")?,
-            policy,
-            duration_hours: el.parse_attr("durationHours")?,
-            seed: el.parse_attr("seed")?,
-            rings,
-        })
-    }
-
-    /// Parse an XML document string.
-    pub fn parse(input: &str) -> Result<RegionSpec, ParseError> {
-        Self::from_xml(&XmlElement::parse(input)?)
-    }
 }
 
 /// Shrink a ring's scaled bootstrap counts until the drafted population
@@ -277,36 +203,9 @@ fn fit_bootstrap_budget(scenario: &mut ScenarioSpec) {
     }
 }
 
-fn opt_attr<T: std::str::FromStr>(el: &XmlElement, key: &str) -> Result<Option<T>, ParseError>
-where
-    T::Err: std::fmt::Display,
-{
-    match el.get_attr(key) {
-        None => Ok(None),
-        Some(_) => el.parse_attr(key).map(Some),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn named_regions_round_trip_through_xml() {
-        for name in RegionSpec::NAMED {
-            let spec = RegionSpec::named(name).unwrap();
-            let back = RegionSpec::parse(&spec.to_xml_string()).unwrap();
-            assert_eq!(back, spec, "region {name} must round-trip");
-        }
-    }
-
-    #[test]
-    fn unknown_policy_is_rejected() {
-        let xml = r#"<region name="x" policy="round-robin" durationHours="6" seed="1">
-            <ring name="a" density="100" nodes="8" startHour="0"/></region>"#;
-        let err = RegionSpec::parse(xml).unwrap_err();
-        assert!(err.message.contains("policy"), "got: {}", err.message);
-    }
 
     #[test]
     fn ring_seeds_are_distinct_and_stable() {

@@ -3,7 +3,7 @@
 //! The `scenarios/` directory ships the studies this workspace
 //! previously hard-coded, re-expressed as data, plus one workload study
 //! that only exists as a scenario. They are embedded so
-//! `scenario_runner --scenario density_sweep` works from any directory
+//! `toto run density_sweep` works from any directory
 //! — and so the compiler tests can assert that the data form lowers to
 //! exactly the hard-coded plans.
 

@@ -1,19 +1,35 @@
-//! The shared scenario-resolution and run path.
+//! The `toto` command line: the one front end for every run.
 //!
-//! Both the `scenario_runner` bin here and the `run_scenario` bench bin
-//! go through this module, so there is exactly one way a scenario name
-//! becomes a run: built-in name → embedded text; anything else → file
-//! path. Legacy `<Scenario>` XML specs are folded into the same path by
-//! compiling them to a single pinned fleet job — ad-hoc per-bin parsing
-//! is gone.
+//! ```text
+//! toto run <builtin | file.toml | spec.xml> [--seeds N] [--threads T]
+//!          [--hours H] [--out DIR] [--trace]
+//! toto emit [density]
+//! ```
+//!
+//! `run` takes a built-in scenario name ([`NAMED_SCENARIOS`]), a scenario
+//! TOML file, or a paper-style `<Scenario>` XML spec (any path ending in
+//! `.xml`). Everything a run studies — densities, chaos plan, region,
+//! seed — lives in the scenario file; the flags only say how to execute
+//! it. An XML spec runs as a one-job pinned fleet ([`run_spec`]) through
+//! the same executor-and-store path as a scenario. `emit` prints the
+//! gen5 stage-ring `<Scenario>` XML at a density (default 100), ready to
+//! edit and run.
+//!
+//! Exit codes: 0 on success; 1 when a run ran but failed (a job failed,
+//! the K-S oracle gate rejected the workload, a chaos invariant oracle
+//! fired, or artifacts could not be written); 2 on bad input (usage,
+//! flag values, an unreadable or malformed scenario or spec). Bad input
+//! never panics.
 
 use crate::builtin::{builtin, NAMED_SCENARIOS};
 use crate::doc::ScenarioDoc;
 use crate::error::ScenarioError;
-use crate::runner::{run, RunOptions, RunSummary};
-use toto::experiment::ExperimentOverrides;
-use toto_fleet::{FleetObserver, FleetPlan};
+use crate::runner::{run, run_spec, RunOptions};
+use toto_fleet::StderrProgress;
 use toto_spec::ScenarioSpec;
+
+const USAGE: &str = "usage: toto run <builtin | file.toml | spec.xml> [--seeds N] [--threads T] \
+                     [--hours H] [--out DIR] [--trace]\n       toto emit [density]";
 
 /// A resolved scenario: its source text plus where it came from.
 #[derive(Clone, Debug)]
@@ -41,120 +57,156 @@ pub fn resolve(name_or_path: &str) -> Result<ResolvedScenario, ScenarioError> {
     Ok(ResolvedScenario { source, doc })
 }
 
-/// Parsed command line shared by the scenario front-ends.
-#[derive(Clone, Debug)]
-pub struct CliArgs {
-    /// Scenario name or path (`--scenario`).
-    pub scenario: String,
-    /// Seed replicas (`--seeds`, default 1).
-    pub seeds: u64,
-    /// Worker threads (`--threads`).
-    pub threads: usize,
-    /// Run-length override, hours (`--hours`).
-    pub hours: Option<u64>,
-    /// Artifact store root (`--out`, default `results`).
-    pub out: String,
-    /// Record per-job trace sidecars (`--trace`).
-    pub trace: bool,
+/// Parsed `toto run` arguments.
+struct RunArgs {
+    target: String,
+    seeds: u64,
+    threads: usize,
+    hours: Option<u64>,
+    out: String,
+    trace: bool,
 }
 
-impl Default for CliArgs {
-    fn default() -> Self {
-        CliArgs {
-            scenario: String::new(),
-            seeds: 1,
-            threads: std::thread::available_parallelism().map_or(4, usize::from),
-            hours: None,
-            out: "results".to_string(),
-            trace: false,
-        }
-    }
-}
-
-impl CliArgs {
-    /// Parse an argument list (without the program name). Unknown flags
-    /// and malformed values are typed errors so front-ends can print
-    /// usage and exit non-zero.
-    pub fn parse(argv: &[String]) -> Result<CliArgs, ScenarioError> {
-        let mut args = CliArgs::default();
-        let mut it = argv.iter();
-        let missing = |flag: &str| ScenarioError::invalid(format!("{flag} requires a value"));
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--scenario" => {
-                    args.scenario = it.next().ok_or_else(|| missing("--scenario"))?.clone();
-                }
-                "--seeds" => {
-                    let v = it.next().ok_or_else(|| missing("--seeds"))?;
-                    args.seeds = v.parse().map_err(|_| {
-                        ScenarioError::invalid(format!("--seeds: not an integer: {v:?}"))
-                    })?;
-                    if args.seeds == 0 {
-                        return Err(ScenarioError::invalid("--seeds must be at least 1"));
-                    }
-                }
-                "--threads" => {
-                    let v = it.next().ok_or_else(|| missing("--threads"))?;
-                    args.threads = v.parse().map_err(|_| {
-                        ScenarioError::invalid(format!("--threads: not an integer: {v:?}"))
-                    })?;
-                }
-                "--hours" => {
-                    let v = it.next().ok_or_else(|| missing("--hours"))?;
-                    args.hours = Some(v.parse().map_err(|_| {
-                        ScenarioError::invalid(format!("--hours: not an integer: {v:?}"))
-                    })?);
-                }
-                "--out" => {
-                    args.out = it.next().ok_or_else(|| missing("--out"))?.clone();
-                }
-                "--trace" => args.trace = true,
-                other => {
-                    return Err(ScenarioError::invalid(format!(
-                        "unknown flag {other:?}; usage: --scenario NAME|FILE [--seeds N] \
-                         [--threads T] [--hours H] [--out DIR] [--trace]"
-                    )));
-                }
+fn parse_run_args(argv: &[String]) -> Result<RunArgs, String> {
+    let mut args = RunArgs {
+        target: String::new(),
+        seeds: 1,
+        threads: std::thread::available_parallelism().map_or(4, usize::from),
+        hours: None,
+        out: "results".to_string(),
+        trace: false,
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{arg} requires a value"));
+        let integer = |v: &String| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{arg}: not an integer: {v:?}"))
+        };
+        match arg.as_str() {
+            "--seeds" => args.seeds = integer(value()?)?,
+            "--threads" => args.threads = integer(value()?)? as usize,
+            "--hours" => args.hours = Some(integer(value()?)?),
+            "--out" => args.out = value()?.clone(),
+            "--trace" => args.trace = true,
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag {flag:?}"));
+            }
+            target if args.target.is_empty() => args.target = target.to_string(),
+            extra => {
+                return Err(format!(
+                    "unexpected argument {extra:?}: run takes one scenario"
+                ));
             }
         }
-        if args.scenario.is_empty() {
-            return Err(ScenarioError::invalid(format!(
-                "--scenario is required; built-ins: {}",
-                NAMED_SCENARIOS.join(", ")
-            )));
-        }
-        Ok(args)
     }
+    if args.target.is_empty() {
+        return Err(format!(
+            "run needs a scenario; built-ins: {}",
+            NAMED_SCENARIOS.join(", ")
+        ));
+    }
+    if args.seeds == 0 {
+        return Err("--seeds must be at least 1".to_string());
+    }
+    if args.hours == Some(0) {
+        return Err("--hours must be positive".to_string());
+    }
+    Ok(args)
 }
 
-/// Resolve and run a scenario per the parsed arguments.
-pub fn run_cli(args: &CliArgs, observer: &dyn FleetObserver) -> Result<RunSummary, ScenarioError> {
-    let mut resolved = resolve(&args.scenario)?;
-    if let Some(hours) = args.hours {
-        if hours == 0 {
-            return Err(ScenarioError::invalid("--hours must be positive"));
-        }
-        resolved.doc.hours = Some(hours);
-    }
-    if args.trace {
-        resolved.doc.trace = true;
-    }
+/// Read a paper-style `<Scenario>` XML spec.
+fn load_spec(path: &str) -> Result<ScenarioSpec, ScenarioError> {
+    let xml = std::fs::read_to_string(path).map_err(|e| ScenarioError::Io {
+        path: path.to_string(),
+        message: e.to_string(),
+    })?;
+    ScenarioSpec::from_xml_str(&xml).map_err(|e| ScenarioError::invalid(format!("{path}: {e}")))
+}
+
+fn fail(code: i32, err: impl std::fmt::Display) -> i32 {
+    eprintln!("toto: {err}");
+    code
+}
+
+fn run_command(argv: &[String]) -> i32 {
+    let args = match parse_run_args(argv) {
+        Ok(args) => args,
+        Err(e) => return fail(2, format!("{e}\n{USAGE}")),
+    };
     let options = RunOptions {
         threads: args.threads.max(1),
         seeds: args.seeds,
-        out: args.out.clone(),
+        out: args.out,
     };
-    run(&resolved.doc, &resolved.source, &options, observer)
+    let result = if args.target.ends_with(".xml") {
+        let mut spec = match load_spec(&args.target) {
+            Ok(spec) => spec,
+            Err(e) => return fail(2, e),
+        };
+        spec.duration_hours = args.hours.unwrap_or(spec.duration_hours);
+        run_spec(spec, args.trace, &options, &StderrProgress)
+    } else {
+        let mut resolved = match resolve(&args.target) {
+            Ok(resolved) => resolved,
+            Err(e) => return fail(2, e),
+        };
+        resolved.doc.hours = args.hours.or(resolved.doc.hours);
+        resolved.doc.trace |= args.trace;
+        run(&resolved.doc, &resolved.source, &options, &StderrProgress)
+    };
+    match result {
+        Ok(summary) => {
+            println!(
+                "{}: {} completed, {} failed, {} oracle families fitted -> {}",
+                summary.fleet_name,
+                summary.completed,
+                summary.failed,
+                summary.oracle_families,
+                summary.dir.display()
+            );
+            if summary.chaos_violations > 0 {
+                println!("chaos oracle violations: {}", summary.chaos_violations);
+            }
+            i32::from(summary.failed > 0 || summary.chaos_violations > 0)
+        }
+        Err(e @ (ScenarioError::Parse(_) | ScenarioError::Invalid { .. })) => fail(2, e),
+        Err(e) => fail(1, e),
+    }
 }
 
-/// Compile a legacy `<Scenario>` XML spec into a single pinned fleet
-/// job, so the old `run_scenario <file.xml>` path flows through the same
-/// executor-and-store pipeline as everything else. The spec's own
-/// component seeds are kept (that is what an XML spec *is*).
-pub fn xml_spec_plan(spec: ScenarioSpec, root_seed: u64) -> FleetPlan {
-    let mut plan = FleetPlan::new(root_seed);
-    plan.add_pinned(spec.name.clone(), spec, ExperimentOverrides::default());
-    plan
+fn emit_command(argv: &[String]) -> i32 {
+    let density = match argv {
+        [] => 100,
+        [d] => match d.parse::<u32>() {
+            Ok(d) => d,
+            Err(_) => return fail(2, format!("emit: not a density: {d:?}\n{USAGE}")),
+        },
+        _ => return fail(2, format!("emit takes at most one density\n{USAGE}")),
+    };
+    print!(
+        "{}",
+        ScenarioSpec::gen5_stage_cluster(density).to_xml_string()
+    );
+    0
+}
+
+/// Run the `toto` command line on `argv` (without the program name) and
+/// return the process exit code.
+pub fn main(argv: &[String]) -> i32 {
+    match argv.first().map(String::as_str) {
+        Some("run") => run_command(&argv[1..]),
+        Some("emit") => emit_command(&argv[1..]),
+        Some("help" | "--help" | "-h") => {
+            println!(
+                "{USAGE}\nbuilt-in scenarios: {}",
+                NAMED_SCENARIOS.join(", ")
+            );
+            0
+        }
+        Some(other) => fail(2, format!("unknown command {other:?}\n{USAGE}")),
+        None => fail(2, USAGE),
+    }
 }
 
 #[cfg(test)]
@@ -167,8 +219,7 @@ mod tests {
 
     #[test]
     fn parses_the_full_flag_set() {
-        let args = CliArgs::parse(&argv(&[
-            "--scenario",
+        let args = parse_run_args(&argv(&[
             "density_sweep",
             "--seeds",
             "3",
@@ -181,7 +232,7 @@ mod tests {
             "--trace",
         ]))
         .expect("parses");
-        assert_eq!(args.scenario, "density_sweep");
+        assert_eq!(args.target, "density_sweep");
         assert_eq!(args.seeds, 3);
         assert_eq!(args.threads, 2);
         assert_eq!(args.hours, Some(24));
@@ -190,19 +241,14 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flag_and_missing_scenario_are_typed_errors() {
-        assert!(matches!(
-            CliArgs::parse(&argv(&["--bogus"])),
-            Err(ScenarioError::Invalid { .. })
-        ));
-        assert!(matches!(
-            CliArgs::parse(&argv(&[])),
-            Err(ScenarioError::Invalid { .. })
-        ));
-        assert!(matches!(
-            CliArgs::parse(&argv(&["--scenario", "x", "--seeds", "0"])),
-            Err(ScenarioError::Invalid { .. })
-        ));
+    fn missing_scenario_extra_arguments_and_zero_seeds_are_rejected() {
+        for bad in [
+            &[][..],
+            &["a", "b"][..],
+            &["density_sweep", "--seeds", "0"][..],
+        ] {
+            assert!(parse_run_args(&argv(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -216,15 +262,5 @@ mod tests {
             }
             other => panic!("expected Io, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn xml_spec_plan_pins_the_spec_seeds() {
-        let mut spec = ScenarioSpec::gen5_stage_cluster(110);
-        spec.plb_seed = 777;
-        let plan = xml_spec_plan(spec, 42);
-        assert_eq!(plan.jobs().len(), 1);
-        assert_eq!(plan.jobs()[0].scenario.plb_seed, 777);
-        assert_eq!(plan.jobs()[0].label, "gen5-stage-density-110");
     }
 }

@@ -7,12 +7,12 @@
 //! [`KsOracle`] which the runner gates on *before* executing anything.
 //!
 //! The byte-identity contract lives here: the built-in `density_sweep`
-//! scenario must lower to exactly the plan the hard-coded `fleet_runner`
-//! default builds — same labels, same derived seeds, same overrides —
-//! which is what makes its run records reproduce the pinned artifacts
-//! byte-for-byte.
+//! scenario must lower to exactly the plan `toto_fleet::density_fleet`
+//! builds — same labels, same derived seeds, same overrides — which is
+//! what makes its run records reproduce the pinned §5.2 artifacts under
+//! `results/runs/fleet_runner/` byte-for-byte.
 
-use crate::doc::{ScenarioDoc, ScenarioKind, SeedPolicy};
+use crate::doc::{RegionConfig, ScenarioDoc, ScenarioKind, SeedPolicy};
 use crate::error::ScenarioError;
 use crate::oracle::KsOracle;
 use crate::workload::fit_workload;
@@ -23,9 +23,10 @@ use toto_region::RegionSpec;
 use toto_simcore::rng::SeedTree;
 use toto_spec::ScenarioSpec;
 
-/// Default fleet root seed — the same default `fleet_runner` uses.
+/// Default root seed of fleet, pools and inline-region scenarios.
 pub const DEFAULT_FLEET_SEED: u64 = 42;
-/// Default fleet run length, hours (§5.2's six-day runs).
+/// Default run length of fleet and inline-region scenarios, hours
+/// (§5.2's six-day runs).
 pub const DEFAULT_FLEET_HOURS: u64 = 144;
 
 /// A compiled fleet scenario: ready-to-execute jobs.
@@ -52,6 +53,8 @@ pub struct CompiledRegion {
     pub chaos: ChaosPlan,
     /// Restrict chaos to one named ring.
     pub chaos_ring: Option<String>,
+    /// Record per-ring trace sidecars.
+    pub trace: bool,
     /// The scenario's K-S verdicts.
     pub oracle: KsOracle,
 }
@@ -95,15 +98,6 @@ impl CompiledScenario {
             CompiledScenario::Fleet(f) => &f.oracle,
             CompiledScenario::Region(r) => &r.oracle,
             CompiledScenario::Pools(p) => &p.oracle,
-        }
-    }
-
-    /// The artifact directory name.
-    pub fn fleet_name(&self) -> &str {
-        match self {
-            CompiledScenario::Fleet(f) => &f.fleet_name,
-            CompiledScenario::Region(r) => &r.fleet_name,
-            CompiledScenario::Pools(p) => &p.fleet_name,
         }
     }
 }
@@ -155,7 +149,7 @@ fn compile_fleet(doc: &ScenarioDoc) -> Result<CompiledFleet, ScenarioError> {
 
     // Distinct densities keep the canonical `density-{d}` labels (and so
     // the canonical derived seeds); duplicated densities need positional
-    // labels to stay unique — the same rule `fleet_runner` applies.
+    // labels (`job{i:03}-density-{d}`) to stay unique.
     let unique: std::collections::BTreeSet<u32> = schedule.densities.iter().copied().collect();
     let positional = unique.len() != schedule.densities.len();
 
@@ -217,20 +211,21 @@ fn compile_region(doc: &ScenarioDoc) -> Result<CompiledRegion, ScenarioError> {
         .region
         .as_ref()
         .ok_or_else(|| ScenarioError::invalid("region scenario lost its [region]"))?;
-    let mut spec = match RegionSpec::named(&region.spec) {
-        Some(named) => named,
-        None => {
-            let xml = std::fs::read_to_string(&region.spec).map_err(|e| ScenarioError::Io {
-                path: region.spec.clone(),
-                message: e.to_string(),
-            })?;
-            RegionSpec::parse(&xml).map_err(|e| {
-                ScenarioError::invalid(format!("[region] spec {:?}: {}", region.spec, e.message))
-            })?
-        }
+    let mut spec = match region {
+        RegionConfig::Named(name) => RegionSpec::named(name).ok_or_else(|| {
+            ScenarioError::invalid(format!("[region] spec {name:?} is not a built-in region"))
+        })?,
+        RegionConfig::Inline { policy, rings } => RegionSpec {
+            name: doc.name.clone(),
+            policy: *policy,
+            duration_hours: DEFAULT_FLEET_HOURS,
+            seed: DEFAULT_FLEET_SEED,
+            rings: rings.clone(),
+        },
     };
     // Apply overrides only when the scenario states them, so a bare named
-    // region reproduces its hard-coded study exactly.
+    // region reproduces its hard-coded study exactly. An inline region
+    // without them runs the fleet defaults.
     if let Some(seed) = doc.seed {
         spec.seed = seed;
     }
@@ -258,6 +253,7 @@ fn compile_region(doc: &ScenarioDoc) -> Result<CompiledRegion, ScenarioError> {
         spec,
         chaos,
         chaos_ring,
+        trace: doc.trace,
         oracle,
     })
 }
@@ -427,10 +423,56 @@ mod tests {
     }
 
     #[test]
-    fn missing_region_xml_is_a_typed_io_error() {
-        let err = compile(&doc("[scenario]\nname = \"r\"\nkind = \"region\"\n\
-             [region]\nspec = \"no/such/region.xml\"\n"))
-        .unwrap_err();
-        assert!(matches!(err, ScenarioError::Io { .. }), "{err:?}");
+    fn inline_region_compiles_to_the_named_spec() {
+        let compiled = compile(&doc(r#"
+[scenario]
+name = "inline-ci2"
+kind = "region"
+seed = 7
+hours = 6
+
+[region]
+policy = "spread"
+
+[[region.ring]]
+name = "east"
+density = 110
+nodes = 8
+
+[[region.ring]]
+name = "west"
+density = 120
+nodes = 6
+start_hour = 0
+"#))
+        .expect("compiles");
+        let CompiledScenario::Region(region) = compiled else {
+            panic!("an inline region is a region scenario");
+        };
+        let ci2 = RegionSpec::named("ci2").expect("named");
+        assert_eq!(region.spec.name, "inline-ci2");
+        assert_eq!(region.spec.policy, ci2.policy);
+        assert_eq!(region.spec.seed, ci2.seed);
+        assert_eq!(region.spec.duration_hours, ci2.duration_hours);
+        assert_eq!(region.spec.rings, ci2.rings);
+    }
+
+    #[test]
+    fn inline_region_carries_ring_lifecycle_and_seed_pins() {
+        let compiled = compile(&doc(
+            "[scenario]\nname = \"r\"\nkind = \"region\"\n[region]\npolicy = \"best-fit\"\n\
+             [[region.ring]]\nname = \"old\"\ndensity = 110\nnodes = 8\n\
+             decommission_hour = 4\nplb_seed = 99\n\
+             [[region.ring]]\nname = \"fresh\"\ndensity = 100\nnodes = 8\nstart_hour = 2\n",
+        ))
+        .expect("compiles");
+        let CompiledScenario::Region(region) = compiled else {
+            panic!("region");
+        };
+        assert_eq!(region.spec.seed, DEFAULT_FLEET_SEED);
+        assert_eq!(region.spec.duration_hours, DEFAULT_FLEET_HOURS);
+        assert_eq!(region.spec.rings[0].decommission_hour, Some(4));
+        assert_eq!(region.spec.rings[0].plb_seed, Some(99));
+        assert_eq!(region.spec.rings[1].start_hour, 2);
     }
 }

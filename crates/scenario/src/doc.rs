@@ -1,6 +1,6 @@
 //! The typed scenario document.
 //!
-//! [`ScenarioDoc::parse`] turns the generic [`crate::toml::RawDoc`] into
+//! [`ScenarioDoc::parse`] turns the generic [`toto_spec::toml::RawDoc`] into
 //! a validated scenario: every section and key is checked against the
 //! grammar (unknown names are hard errors, like the linter config), all
 //! value domains are enforced, and cross-section rules (a `fleet`
@@ -9,9 +9,9 @@
 //! the document.
 
 use crate::error::ScenarioError;
-use crate::toml::{Entry, RawDoc, Table, Value};
 use toto_chaos::ChaosPlan;
-use toto_region::RegionSpec;
+use toto_region::{PlacementPolicy, RegionSpec, RingSpec};
+use toto_spec::toml::{Entry, RawDoc, Table, Value};
 use toto_telemetry::{CohortProfile, EtlSeason, LaunchSpike, RegionProfile, ServerlessProfile};
 
 /// What a scenario executes on.
@@ -108,12 +108,19 @@ pub struct WorkloadConfig {
     pub etl: Option<EtlSeason>,
 }
 
-/// The `[region]` table: which region spec a region scenario runs.
+/// The `[region]` table: which region a region scenario runs.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RegionConfig {
-    /// Built-in region name ([`RegionSpec::NAMED`]) or a path to a
-    /// `<region>` XML file.
-    pub spec: String,
+pub enum RegionConfig {
+    /// `spec = "<name>"`: a built-in region ([`RegionSpec::NAMED`]).
+    Named(String),
+    /// `policy` plus `[[region.ring]]` tables: a region spelled out ring
+    /// by ring. Its seed and run length come from `[scenario]`.
+    Inline {
+        /// Cross-ring placement policy.
+        policy: PlacementPolicy,
+        /// The rings, in join order.
+        rings: Vec<RingSpec>,
+    },
 }
 
 /// The `[pools]` table: the elastic-pool study's shape.
@@ -165,6 +172,15 @@ pub struct ScenarioDoc {
     pub pools: Option<PoolsConfig>,
 }
 
+/// True iff `name` is a non-empty `[A-Za-z0-9_-]+` slug, safe to use as
+/// an artifact directory name.
+pub(crate) fn is_slug(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_'))
+}
+
 const KNOWN_SECTIONS: &[&str] = &[
     "scenario",
     "schedule",
@@ -177,7 +193,7 @@ const KNOWN_SECTIONS: &[&str] = &[
     "pools",
 ];
 
-const KNOWN_TABLES: &[&str] = &["workload.cohort", "workload.spike"];
+const KNOWN_TABLES: &[&str] = &["workload.cohort", "workload.spike", "region.ring"];
 
 /// Typed accessors over a raw table that consume keys, so leftovers can
 /// be rejected as unknown.
@@ -348,11 +364,7 @@ impl ScenarioDoc {
             .ok_or_else(|| ScenarioError::invalid("missing required section [scenario]"))?;
         let mut keys = Keys::new("scenario", scenario_table);
         let name = keys.req_str("name")?;
-        if name.is_empty()
-            || !name
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_'))
-        {
+        if !is_slug(&name) {
             return Err(ScenarioError::invalid(format!(
                 "[scenario] name {name:?} must be a non-empty [A-Za-z0-9_-]+ slug \
                  (it becomes the artifact directory)"
@@ -490,15 +502,7 @@ impl ScenarioDoc {
 
         let workload = parse_workload(&raw)?;
 
-        let region = match raw.sections.get("region") {
-            None => None,
-            Some((_, table)) => {
-                let mut keys = Keys::new("region", table);
-                let spec = keys.req_str("spec")?;
-                keys.finish()?;
-                Some(RegionConfig { spec })
-            }
-        };
+        let region = parse_region(&raw)?;
 
         let pools = match raw.sections.get("pools") {
             None => None,
@@ -605,16 +609,86 @@ impl ScenarioDoc {
                 }
             }
         }
-        if let Some(region) = &self.region {
-            if RegionSpec::named(&region.spec).is_none() && !region.spec.contains('.') {
+        Ok(())
+    }
+}
+
+fn parse_region(raw: &RawDoc) -> Result<Option<RegionConfig>, ScenarioError> {
+    let ring_tables = raw.tables.get("region.ring");
+    let Some((_, table)) = raw.sections.get("region") else {
+        if let Some((line, _)) = ring_tables.and_then(|t| t.first()) {
+            return Err(ScenarioError::invalid(format!(
+                "line {line}: [[region.ring]] requires a [region] section"
+            )));
+        }
+        return Ok(None);
+    };
+    let mut keys = Keys::new("region", table);
+    let spec = keys.take_str("spec")?;
+    let policy = keys.take_str("policy")?;
+    keys.finish()?;
+    match (spec, policy) {
+        (Some(spec), None) => {
+            if ring_tables.is_some() {
+                return Err(ScenarioError::invalid(
+                    "[region] spec names a built-in region; it takes no [[region.ring]] tables",
+                ));
+            }
+            if RegionSpec::named(&spec).is_none() {
                 return Err(ScenarioError::invalid(format!(
-                    "[region] spec {:?} is neither a named region ({}) nor an XML file path",
-                    region.spec,
+                    "[region] spec {spec:?} is not a built-in region ({})",
                     RegionSpec::NAMED.join(", ")
                 )));
             }
+            Ok(Some(RegionConfig::Named(spec)))
         }
-        Ok(())
+        (None, Some(policy)) => {
+            let policy = PlacementPolicy::from_name(&policy).ok_or_else(|| {
+                ScenarioError::invalid(format!(
+                    "[region] policy must be best-fit|spread|density-target, got {policy:?}"
+                ))
+            })?;
+            let mut rings: Vec<RingSpec> = Vec::new();
+            for (line, table) in ring_tables.into_iter().flatten() {
+                let mut keys = Keys::new("region.ring", table);
+                let name = keys.req_str("name")?;
+                let density = keys.req_uint("density")?;
+                let nodes = keys.req_uint("nodes")?;
+                let start_hour = keys.take_uint("start_hour")?.unwrap_or(0);
+                let decommission_hour = keys.take_uint("decommission_hour")?;
+                let plb_seed = keys.take_uint("plb_seed")?;
+                keys.finish()?;
+                if !(50..=400).contains(&density) || !(1..=u64::from(u32::MAX)).contains(&nodes) {
+                    return Err(ScenarioError::invalid(format!(
+                        "line {line}: [[region.ring]] {name:?} needs density in 50..=400 % \
+                         and a positive node count"
+                    )));
+                }
+                if rings.iter().any(|r| r.name == name) {
+                    return Err(ScenarioError::invalid(format!(
+                        "line {line}: duplicate [[region.ring]] name {name:?}"
+                    )));
+                }
+                rings.push(RingSpec {
+                    name,
+                    density_percent: density as u32,
+                    node_count: nodes as u32,
+                    start_hour,
+                    decommission_hour,
+                    plb_seed,
+                });
+            }
+            if rings.is_empty() {
+                return Err(ScenarioError::invalid(
+                    "[region] policy needs at least one [[region.ring]] table",
+                ));
+            }
+            Ok(Some(RegionConfig::Inline { policy, rings }))
+        }
+        _ => Err(ScenarioError::invalid(
+            "[region] takes either `spec = \"<built-in>\"` or `policy` with \
+             [[region.ring]] tables",
+        )),
     }
 }
 
@@ -847,6 +921,54 @@ densities = [100, 110, 120, 140]
                 assert!(message.contains("directed schedule"), "{message}")
             }
             other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn region_table_takes_exactly_one_well_formed_form() {
+        let head = "[scenario]\nname = \"r\"\nkind = \"region\"\n";
+        let ring =
+            |name: &str| format!("[[region.ring]]\nname = \"{name}\"\ndensity = 110\nnodes = 8\n");
+        for (what, body, needle) in [
+            (
+                "unknown built-in",
+                "[region]\nspec = \"mars\"\n".to_string(),
+                "mars",
+            ),
+            (
+                "both forms",
+                format!(
+                    "[region]\nspec = \"ci2\"\npolicy = \"spread\"\n{}",
+                    ring("a")
+                ),
+                "either",
+            ),
+            ("neither form", "[region]\n".to_string(), "either"),
+            (
+                "rings beside a built-in",
+                format!("[region]\nspec = \"ci2\"\n{}", ring("a")),
+                "no [[region.ring]]",
+            ),
+            ("rings without [region]", ring("a"), "requires a [region]"),
+            (
+                "duplicate ring",
+                format!("[region]\npolicy = \"spread\"\n{}{}", ring("a"), ring("a")),
+                "duplicate",
+            ),
+            (
+                "zero nodes",
+                "[region]\npolicy = \"spread\"\n[[region.ring]]\nname = \"a\"\n\
+                 density = 110\nnodes = 0\n"
+                    .to_string(),
+                "positive node count",
+            ),
+        ] {
+            match ScenarioDoc::parse(&format!("{head}{body}")) {
+                Err(ScenarioError::Invalid { message }) => {
+                    assert!(message.contains(needle), "{what}: {message}")
+                }
+                other => panic!("{what}: expected Invalid, got {other:?}"),
+            }
         }
     }
 

@@ -7,6 +7,7 @@
 //! with evidence instead of simulating garbage.
 
 use std::fmt;
+use toto_spec::toml::TomlError;
 
 /// One failed K-S validation verdict: the synthesized stream family that
 /// did not fit its trained hourly-normal model.
@@ -47,12 +48,7 @@ impl fmt::Display for OracleFailure {
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioError {
     /// The file is not in the supported TOML subset.
-    Parse {
-        /// 1-based line of the offending construct.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
+    Parse(TomlError),
     /// The file parsed but describes an invalid scenario (unknown
     /// section/key, missing required table, bad value domain…).
     Invalid {
@@ -75,9 +71,7 @@ pub enum ScenarioError {
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScenarioError::Parse { line, message } => {
-                write!(f, "scenario parse error, line {line}: {message}")
-            }
+            ScenarioError::Parse(e) => write!(f, "scenario parse error, {e}"),
             ScenarioError::Invalid { message } => write!(f, "invalid scenario: {message}"),
             ScenarioError::Oracle(failure) => write!(f, "{failure}"),
             ScenarioError::Io { path, message } => write!(f, "io error on {path}: {message}"),
@@ -86,6 +80,12 @@ impl fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
+
+impl From<TomlError> for ScenarioError {
+    fn from(e: TomlError) -> Self {
+        ScenarioError::Parse(e)
+    }
+}
 
 impl ScenarioError {
     /// Shorthand for an [`ScenarioError::Invalid`] with a formatted

@@ -12,8 +12,9 @@
 //!
 //! The pipeline is strictly staged, every stage typed:
 //!
-//! 1. [`toml::RawDoc`] — generic well-formedness (syntax, duplicate
-//!    keys). Errors are [`ScenarioError::Parse`] with a line number.
+//! 1. [`toto_spec::toml::RawDoc`] — generic well-formedness (syntax,
+//!    duplicate keys). Errors are [`ScenarioError::Parse`] with a line
+//!    number.
 //! 2. [`ScenarioDoc`] — the validated grammar: unknown sections/keys and
 //!    out-of-domain values are [`ScenarioError::Invalid`].
 //! 3. [`compile::compile`] — lowering onto `FleetPlan` / `RegionSpec` /
@@ -26,9 +27,12 @@
 //!    mirroring the chaos invariant-oracle discipline), then executes
 //!    through `toto-fleet` and writes artifacts under `results/runs/`.
 //!
+//! [`cli`] is the `toto` command line, the one front end: `toto run`
+//! takes a built-in name, a scenario file or a `<Scenario>` XML spec.
+//!
 //! Determinism contract: byte-identical artifacts at any worker count,
-//! and the built-in `density_sweep` scenario reproduces the hard-coded
-//! `fleet_runner` default study byte-for-byte.
+//! and `toto run density_sweep` reproduces the pinned §5.2 records under
+//! `results/runs/fleet_runner/` byte-for-byte.
 
 pub mod builtin;
 pub mod cli;
@@ -37,7 +41,6 @@ pub mod doc;
 pub mod error;
 pub mod oracle;
 pub mod runner;
-pub mod toml;
 pub mod workload;
 
 pub use builtin::{builtin, NAMED_SCENARIOS};
@@ -48,4 +51,4 @@ pub use doc::{
 };
 pub use error::{OracleFailure, ScenarioError};
 pub use oracle::{record_family, FamilyFit, KsOracle};
-pub use runner::{run, RunOptions, RunSummary};
+pub use runner::{run, run_spec, RunOptions, RunSummary};

@@ -37,7 +37,7 @@ fn unknown_section_is_rejected_by_name() {
 fn malformed_value_is_a_parse_error_with_a_line() {
     let err = ScenarioDoc::parse(&fixture("malformed_syntax.toml")).unwrap_err();
     match err {
-        ScenarioError::Parse { line, .. } => assert_eq!(line, 4),
+        ScenarioError::Parse(e) => assert_eq!(e.line, 4),
         other => panic!("expected Parse, got {other}"),
     }
 }

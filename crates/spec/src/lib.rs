@@ -10,6 +10,8 @@
 //! * [`xml`] — a small, dependency-free XML writer/parser (the paper's
 //!   blobs are XML; keeping the format means a spec stored in the simulated
 //!   Naming Service is a human-readable, editable string).
+//! * [`toml`] — the workspace's one TOML-subset reader (scenario files
+//!   and `lint.toml`), generic below each caller's typed layer.
 //! * [`edition`] / [`resource`] — the shared vocabulary: database editions
 //!   (remote-store Standard/GP vs. local-store Premium/BC) and governed
 //!   resources (CPU, memory, disk).
@@ -26,6 +28,7 @@ pub mod model;
 pub mod population;
 pub mod resource;
 pub mod scenario;
+pub mod toml;
 pub mod xml;
 
 pub use edition::EditionKind;

@@ -60,8 +60,9 @@ fn kpi_json(k: &KpiSummary) -> String {
     )
 }
 
-/// The pinned run for one tier: seeds derived exactly as `fleet_runner`
-/// derives them, so the snapshot covers the production seed path too.
+/// The pinned run for one tier: seeds derived exactly as the
+/// `density_sweep` scenario derives them, so the snapshot covers the
+/// production seed path too.
 fn golden_run(density: u32) -> KpiSummary {
     let mut scenario = ScenarioSpec::gen5_stage_cluster(density);
     scenario.duration_hours = GOLDEN_HOURS;

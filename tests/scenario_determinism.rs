@@ -7,14 +7,16 @@
 //! 1. a scenario run produces **byte-identical run records** on 1 worker
 //!    and on 8 workers;
 //! 2. the built-in `density_sweep` scenario's records are byte-identical
-//!    to the ones `density_fleet` (the `fleet_runner` default study)
+//!    to the ones the hard-coded `density_fleet` plan (the §5.2 study)
 //!    produces at the same horizon;
 //! 3. perturbing the scenario seed diverges, and the structured trace
 //!    diff names the first divergent event rather than just "differs";
 //! 4. a `--seeds N` sweep leaves the base replica byte-identical to a
 //!    single-seed run and emits per-KPI dispersion statistics; and
 //! 5. a mis-fit workload aborts with the typed K-S oracle error before
-//!    any simulation artifact is written.
+//!    any simulation artifact is written; and
+//! 6. a region scenario's `trace` flag reaches the region runner, so
+//!    its ring traces are the ones a traced `RegionRunner` records.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,6 +24,7 @@ use toto_fleet::{
     density_fleet, FleetExecutor, FleetManifest, ManifestJob, NullObserver, RunRecord, RunStore,
     RUN_SCHEMA_VERSION,
 };
+use toto_region::{RegionRunner, RegionSpec};
 use toto_scenario::{builtin, run, RunOptions, ScenarioDoc, ScenarioError};
 use toto_trace::codec::decode;
 use toto_trace::diff::{diff_traces, Divergence};
@@ -125,8 +128,8 @@ fn density_sweep_scenario_matches_the_hard_coded_fleet_byte_for_byte() {
     let reference_dir = scratch_dir("reference-fleet");
     let scenario = run_sweep(&scenario_dir, 2, 1);
 
-    // The reference: exactly what `fleet_runner` runs by default, at the
-    // same shortened horizon, stored through the same machinery.
+    // The reference: the hard-coded §5.2 plan, at the same shortened
+    // horizon, stored through the same machinery.
     let plan = density_fleet(42, &[100, 110, 120, 140], HOURS);
     let report = FleetExecutor::new(2).run(plan.jobs(), &NullObserver);
     assert!(report.all_completed());
@@ -324,6 +327,50 @@ fn misfit_workload_aborts_with_the_typed_oracle_error_before_writing() {
         !dir.join("runs").exists(),
         "a gated scenario must not leave artifacts behind"
     );
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn traced_region_scenario_writes_the_ring_traces() {
+    let dir = scratch_dir("region-trace");
+    let source = format!(
+        "[scenario]\nname = \"region-ci2\"\nkind = \"region\"\nhours = {HOURS}\n\
+         trace = true\n\n[region]\nspec = \"ci2\"\n"
+    );
+    let doc = ScenarioDoc::parse(&source).expect("region scenario parses");
+    let options = RunOptions {
+        threads: 2,
+        seeds: 1,
+        out: dir.display().to_string(),
+    };
+    let summary = run(&doc, &source, &options, &NullObserver).expect("region scenario runs");
+    assert_eq!(summary.failed, 0);
+
+    let mut spec = RegionSpec::named("ci2").expect("built-in region");
+    spec.duration_hours = HOURS;
+    let runner = RegionRunner {
+        threads: 2,
+        trace: true,
+        ..RegionRunner::default()
+    };
+    let reference = runner.run(&spec, "region-ci2");
+    let store = RunStore::new(&dir);
+    assert_eq!(reference.sidecars.len(), 2);
+    for sidecar in &reference.sidecars {
+        let expected = sidecar
+            .trace
+            .as_ref()
+            .expect("the reference ring is traced");
+        let actual = store
+            .trace_bytes("region-ci2", &sidecar.label)
+            .unwrap_or_else(|e| panic!("{}: no ring trace written ({e})", sidecar.label));
+        assert!(
+            actual == *expected,
+            "{}: ring trace differs from the traced region runner's",
+            sidecar.label
+        );
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }

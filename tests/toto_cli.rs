@@ -1,0 +1,75 @@
+//! The `toto` command line rejects bad input with exit code 2 and never
+//! panics; a run that fails its K-S oracle gate exits 1. The table
+//! drives `toto_scenario::cli::main`, the function the binary calls.
+
+use std::fs;
+use std::panic::catch_unwind;
+
+#[test]
+fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("toto-cli-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let file = |name: &str, text: &str| {
+        let path = dir.join(name);
+        fs::write(&path, text).expect("write input");
+        path.display().to_string()
+    };
+    let region = "[scenario]\nname = \"r\"\nkind = \"region\"\n[region]\n";
+    let malformed_toml = file("malformed.toml", "[scenario]\nname = @\n");
+    let malformed_xml = file("malformed.xml", "<Scenario name=\"x\"");
+    let unknown_policy = file(
+        "policy.toml",
+        &format!(
+            "{region}policy = \"round-robin\"\n\
+             [[region.ring]]\nname = \"a\"\ndensity = 100\nnodes = 8\n"
+        ),
+    );
+    let no_rings = file("no-rings.toml", &format!("{region}policy = \"spread\"\n"));
+    let misfit = file(
+        "misfit.toml",
+        "[scenario]\nname = \"misfit\"\nkind = \"fleet\"\nhours = 1\n\
+         [schedule]\ndensities = [110]\n\
+         [oracle]\nalpha = 0.99\nmin_acceptance = 1.0\n",
+    );
+    let out = dir.join("out").display().to_string();
+    let missing = dir.join("missing.toml").display().to_string();
+
+    let cases: Vec<(&str, Vec<&str>, i32)> = vec![
+        ("no command", vec![], 2),
+        ("unknown command", vec!["frobnicate"], 2),
+        ("unknown flag", vec!["run", "density_sweep", "--bogus"], 2),
+        (
+            "missing value",
+            vec!["run", "density_sweep", "--threads"],
+            2,
+        ),
+        (
+            "non-integer",
+            vec!["run", "density_sweep", "--threads", "x"],
+            2,
+        ),
+        (
+            "zero hours",
+            vec!["run", "density_sweep", "--hours", "0"],
+            2,
+        ),
+        ("unknown builtin", vec!["run", "no_such_builtin"], 2),
+        ("missing file", vec!["run", &missing], 2),
+        ("malformed TOML", vec!["run", &malformed_toml], 2),
+        ("malformed XML", vec!["run", &malformed_xml], 2),
+        ("unknown region policy", vec!["run", &unknown_policy], 2),
+        ("region without rings", vec!["run", &no_rings], 2),
+        ("bad emit density", vec!["emit", "x"], 2),
+        ("oracle gate fails", vec!["run", &misfit, "--out", &out], 1),
+    ];
+    for (what, argv, expected) in cases {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let code = catch_unwind(|| toto_scenario::cli::main(&argv))
+            .unwrap_or_else(|_| panic!("{what}: toto panicked"));
+        assert_eq!(code, expected, "{what}: exit code");
+    }
+    assert!(!dir.join("out").exists(), "a gated run writes nothing");
+
+    let _ = fs::remove_dir_all(&dir);
+}
