@@ -1,17 +1,16 @@
 //! Declarative fault-injection plans.
 //!
 //! A [`ChaosPlan`] is part of the experiment configuration: a list of
-//! [`FaultSpec`]s pinned to hours of the run. Like every other spec in
-//! this workspace it round-trips through XML (§3.3.1's declarative
-//! idiom), and everything it leaves unresolved — e.g. *which* node
-//! crashes — is decided at injection time from the experiment's seeded
-//! chaos RNG stream, so a `(spec, seed)` pair replays byte-identically.
+//! [`FaultSpec`]s pinned to hours of the run. A scenario picks one of the
+//! built-in plans by name ([`ChaosPlan::named`], `[chaos] plan = "…"`),
+//! and everything a plan leaves unresolved — e.g. *which* node crashes —
+//! is decided at injection time from the experiment's seeded chaos RNG
+//! stream, so a `(spec, seed)` pair replays byte-identically.
 //!
 //! Plans are compiled ([`ChaosPlan::compile`]) into a flat, time-sorted
 //! list of primitive [`ChaosAction`]s before the run starts; the runner
 //! schedules one simulation event per action.
 
-use toto_spec::xml::{ParseError, XmlElement};
 use toto_spec::ResourceKind;
 
 /// One declared fault. Hours are offsets from experiment start.
@@ -300,163 +299,5 @@ impl ChaosPlan {
         out.retain(|f| f.at_secs < end_secs);
         out.sort_by_key(|f| f.at_secs);
         out
-    }
-
-    /// Serialise to an XML element (`<chaosPlan>`).
-    pub fn to_xml(&self) -> XmlElement {
-        let mut root = XmlElement::new("chaosPlan");
-        for fault in &self.faults {
-            let el = match fault {
-                FaultSpec::NodeCrash {
-                    at_hour,
-                    node,
-                    downtime_secs,
-                } => {
-                    let mut el = XmlElement::new("nodeCrash")
-                        .attr("atHour", at_hour)
-                        .attr("downtimeSecs", downtime_secs);
-                    if let Some(n) = node {
-                        el = el.attr("node", n);
-                    }
-                    el
-                }
-                FaultSpec::RollingRestart {
-                    start_hour,
-                    downtime_hours,
-                } => XmlElement::new("rollingRestart")
-                    .attr("startHour", start_hour)
-                    .attr("downtimeHours", downtime_hours),
-                FaultSpec::Decommission { at_hour, node } => {
-                    let mut el = XmlElement::new("decommission").attr("atHour", at_hour);
-                    if let Some(n) = node {
-                        el = el.attr("node", n);
-                    }
-                    el
-                }
-                FaultSpec::CapacityDegrade {
-                    at_hour,
-                    resource,
-                    factor,
-                    restore_hour,
-                } => {
-                    let mut el = XmlElement::new("capacityDegrade")
-                        .attr("atHour", at_hour)
-                        .attr("resource", resource)
-                        .attr("factor", factor);
-                    if let Some(h) = restore_hour {
-                        el = el.attr("restoreHour", h);
-                    }
-                    el
-                }
-                FaultSpec::ReportLoss {
-                    from_hour,
-                    to_hour,
-                    drop_probability,
-                } => XmlElement::new("reportLoss")
-                    .attr("fromHour", from_hour)
-                    .attr("toHour", to_hour)
-                    .attr("dropProbability", drop_probability),
-                FaultSpec::FailoverStorm {
-                    at_hour,
-                    node_count,
-                    downtime_secs,
-                } => XmlElement::new("failoverStorm")
-                    .attr("atHour", at_hour)
-                    .attr("nodeCount", node_count)
-                    .attr("downtimeSecs", downtime_secs),
-            };
-            root = root.child(el);
-        }
-        root
-    }
-
-    /// Serialise to an XML document string.
-    pub fn to_xml_string(&self) -> String {
-        self.to_xml().to_xml_string()
-    }
-
-    /// Parse from an XML element produced by [`ChaosPlan::to_xml`].
-    pub fn from_xml(el: &XmlElement) -> Result<ChaosPlan, ParseError> {
-        if el.name != "chaosPlan" {
-            return Err(ParseError {
-                offset: 0,
-                message: format!("expected <chaosPlan>, found <{}>", el.name),
-            });
-        }
-        let mut faults = Vec::new();
-        for child in &el.children {
-            let fault = match child.name.as_str() {
-                "nodeCrash" => FaultSpec::NodeCrash {
-                    at_hour: child.parse_attr("atHour")?,
-                    node: opt_attr(child, "node")?,
-                    downtime_secs: child.parse_attr("downtimeSecs")?,
-                },
-                "rollingRestart" => FaultSpec::RollingRestart {
-                    start_hour: child.parse_attr("startHour")?,
-                    downtime_hours: child.parse_attr("downtimeHours")?,
-                },
-                "decommission" => FaultSpec::Decommission {
-                    at_hour: child.parse_attr("atHour")?,
-                    node: opt_attr(child, "node")?,
-                },
-                "capacityDegrade" => {
-                    let factor: f64 = child.parse_attr("factor")?;
-                    if !(factor > 0.0 && factor <= 1.0) {
-                        return Err(ParseError {
-                            offset: 0,
-                            message: format!("<capacityDegrade> factor {factor} outside (0, 1]"),
-                        });
-                    }
-                    FaultSpec::CapacityDegrade {
-                        at_hour: child.parse_attr("atHour")?,
-                        resource: child.parse_attr("resource")?,
-                        factor,
-                        restore_hour: opt_attr(child, "restoreHour")?,
-                    }
-                }
-                "reportLoss" => {
-                    let p: f64 = child.parse_attr("dropProbability")?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(ParseError {
-                            offset: 0,
-                            message: format!("<reportLoss> dropProbability {p} outside [0, 1]"),
-                        });
-                    }
-                    FaultSpec::ReportLoss {
-                        from_hour: child.parse_attr("fromHour")?,
-                        to_hour: child.parse_attr("toHour")?,
-                        drop_probability: p,
-                    }
-                }
-                "failoverStorm" => FaultSpec::FailoverStorm {
-                    at_hour: child.parse_attr("atHour")?,
-                    node_count: child.parse_attr("nodeCount")?,
-                    downtime_secs: child.parse_attr("downtimeSecs")?,
-                },
-                other => {
-                    return Err(ParseError {
-                        offset: 0,
-                        message: format!("unknown chaos fault <{other}>"),
-                    })
-                }
-            };
-            faults.push(fault);
-        }
-        Ok(ChaosPlan { faults })
-    }
-
-    /// Parse an XML document string.
-    pub fn parse(input: &str) -> Result<ChaosPlan, ParseError> {
-        Self::from_xml(&XmlElement::parse(input)?)
-    }
-}
-
-fn opt_attr<T: std::str::FromStr>(el: &XmlElement, key: &str) -> Result<Option<T>, ParseError>
-where
-    T::Err: std::fmt::Display,
-{
-    match el.get_attr(key) {
-        None => Ok(None),
-        Some(_) => el.parse_attr(key).map(Some),
     }
 }

@@ -274,11 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn population_model_roundtrips_and_is_weekday_heavy() {
+    fn population_model_is_weekday_heavy() {
         let spec = gen5_population_model(9);
-        let xml = spec.to_xml_string();
-        let back = toto_spec::population::PopulationModelSpec::from_xml_str(&xml).unwrap();
-        assert_eq!(back, spec);
         let gp = &spec.create[EditionKind::StandardGp.index()];
         assert!(gp.cells[0][14].0 > gp.cells[1][14].0);
         let bc = &spec.create[EditionKind::PremiumBc.index()];

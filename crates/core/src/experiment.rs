@@ -40,7 +40,7 @@ use toto_telemetry::kpi::{FailoverRecord, NodeSnapshot, Telemetry};
 use toto_telemetry::revenue::{BillingRecord, RevenueBreakdown, RevenueParams};
 
 /// Optional deviations from the scenario defaults.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExperimentOverrides {
     /// Replace the default population model.
     pub population: Option<PopulationModelSpec>,
@@ -48,19 +48,6 @@ pub struct ExperimentOverrides {
     pub models: Option<ModelSetSpec>,
     /// Replace the default PLB configuration.
     pub plb: Option<PlbConfig>,
-    /// Run proactive balancing during the experiment (on by default —
-    /// SF's PLB balances continuously; balancing moves are not failovers).
-    pub balance_during_run: bool,
-    /// Interval between node-level snapshots, seconds (default 600 — the
-    /// paper's Figure 13 uses 10-minute node readings).
-    pub node_snapshot_secs: Option<u64>,
-    /// Replace the SLA/revenue parameters.
-    pub revenue: Option<RevenueParams>,
-    /// Optional rolling maintenance upgrade: nodes are drained one at a
-    /// time and brought back, as production clusters do mid-experiment
-    /// ("the outliers at each density level are when a cluster
-    /// maintenance upgrade was occurring", §5.3.2).
-    pub rolling_upgrade: Option<RollingUpgrade>,
     /// Deterministic fault-injection plan (empty by default). An empty
     /// plan is strictly inert: no chaos state is allocated, no RNG
     /// stream is drawn, and the run is byte-identical to one on a build
@@ -73,32 +60,9 @@ pub struct ExperimentOverrides {
     pub directed: Option<DirectedSchedule>,
 }
 
-/// A rolling cluster upgrade: starting at `start_hour`, each node in
-/// turn is drained, stays down for `downtime_hours`, and comes back
-/// before the next node begins.
-#[derive(Clone, Copy, Debug)]
-pub struct RollingUpgrade {
-    /// Hour (from experiment start) the upgrade begins.
-    pub start_hour: u64,
-    /// How long each node stays drained.
-    pub downtime_hours: u64,
-}
-
-impl Default for ExperimentOverrides {
-    fn default() -> Self {
-        ExperimentOverrides {
-            population: None,
-            models: None,
-            plb: None,
-            balance_during_run: true,
-            node_snapshot_secs: None,
-            revenue: None,
-            rolling_upgrade: None,
-            chaos: ChaosPlan::default(),
-            directed: None,
-        }
-    }
-}
+/// Interval between node-level snapshots: the paper's Figure 13 uses
+/// 10-minute node readings.
+const NODE_SNAPSHOT_PERIOD: SimDuration = SimDuration::from_secs(600);
 
 /// Billing bookkeeping per live database.
 #[derive(Clone, Debug)]
@@ -168,8 +132,6 @@ pub struct ExperimentState {
     start: SimTime,
     end: SimTime,
     report_period: SimDuration,
-    node_snapshot_period: SimDuration,
-    balance_during_run: bool,
     /// Fault-injection state; `None` whenever the chaos plan is empty.
     chaos: Option<ChaosRuntime>,
     /// Scratch for `report_metrics`' per-replica snapshot, reused every
@@ -366,10 +328,6 @@ impl DensityExperiment {
         };
         let state = ExperimentState {
             report_period: SimDuration::from_secs(scenario.report_period_secs),
-            node_snapshot_period: SimDuration::from_secs(
-                overrides.node_snapshot_secs.unwrap_or(600),
-            ),
-            balance_during_run: overrides.balance_during_run,
             // QoS downtime draws share the PLB seed lineage: they are part
             // of the run-to-run non-determinism the paper attributes to SF.
             qos_rng: DetRng::seed_from_u64(scenario.plb_seed ^ 0x00D0_3713),
@@ -400,14 +358,14 @@ impl DensityExperiment {
         let mut sim = Simulation::new(state);
         let refresh = SimDuration::from_secs(sim.state().scenario.model_refresh_secs);
         let report = sim.state().report_period;
-        let snapshot = sim.state().node_snapshot_period;
         sim.scheduler().schedule_at(start, population_tick);
         sim.scheduler().schedule_at(start + report, report_metrics);
         sim.scheduler().schedule_at(start + refresh, refresh_models);
         sim.scheduler()
             .schedule_at(start + SimDuration::from_secs(300), plb_tick);
         sim.scheduler().schedule_at(start + report, governance_tick);
-        sim.scheduler().schedule_at(start + snapshot, node_snapshot);
+        sim.scheduler()
+            .schedule_at(start + NODE_SNAPSHOT_PERIOD, node_snapshot);
         if let Some(directed) = &overrides.directed {
             // The schedule is fully known up front; one simulation event
             // per directive, in schedule order (FIFO on equal times).
@@ -421,40 +379,6 @@ impl DensityExperiment {
                     .schedule_at(at, move |s: &mut ExperimentState, sc| {
                         directed_action(s, &action, sc.now());
                     });
-            }
-        }
-        if let Some(upgrade) = overrides.rolling_upgrade {
-            let nodes = sim.state().cluster.node_count() as u64;
-            for i in 0..nodes {
-                let t_drain = start
-                    + SimDuration::from_hours(upgrade.start_hour + i * upgrade.downtime_hours);
-                if t_drain >= end {
-                    break;
-                }
-                let node = NodeId(i as u32);
-                sim.scheduler()
-                    .schedule_at(t_drain, move |s: &mut ExperimentState, sc| {
-                        let events = {
-                            let mut plb = s.plb.clone();
-                            // A drain blocked by a last-live-replica conflict
-                            // skips this node's upgrade slot (it stays up).
-                            let ev = plb
-                                .drain_node(&mut s.cluster, node, sc.now())
-                                .unwrap_or_default();
-                            s.plb = plb;
-                            ev
-                        };
-                        // Drain moves reset non-persisted state but are not
-                        // capacity-violation failovers.
-                        process_failovers(s, events);
-                    });
-                let t_up = t_drain + SimDuration::from_hours(upgrade.downtime_hours);
-                if t_up <= end {
-                    sim.scheduler()
-                        .schedule_at(t_up, move |s: &mut ExperimentState, _| {
-                            s.cluster.set_node_up(node, true);
-                        });
-                }
             }
         }
         if sim.state().chaos.is_some() {
@@ -548,13 +472,13 @@ impl DensityExperiment {
             report.oracle_violations = rt.oracle.violations;
             report
         });
-        let params = overrides.revenue.unwrap_or_else(|| RevenueParams {
+        let params = RevenueParams {
             // Credits are assessed against the experiment's billing window
             // (the paper subtracts "service credits based on the SLA" from
             // the revenue modeled over the run).
             credit_window_hours: state.scenario.duration_hours as f64,
             ..RevenueParams::default()
-        });
+        };
         let records: Vec<BillingRecord> = state
             .billing
             .iter()
@@ -767,18 +691,14 @@ fn process_failovers(state: &mut ExperimentState, events: Vec<FailoverEvent>) {
     }
 }
 
-/// PLB pass: fix capacity violations (and optionally balance).
+/// PLB pass: fix capacity violations, then balance. SF's PLB balances
+/// continuously; balancing moves are not failovers.
 fn plb_tick(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     let now = sched.now();
     let tick = SimDuration::from_secs(300);
-    let mut plb = state.plb.clone();
-    let events = plb.fix_violations(&mut state.cluster, now);
-    let mut all_events = events;
-    if state.balance_during_run {
-        all_events.extend(plb.balance(&mut state.cluster, now));
-    }
-    state.plb = plb;
-    process_failovers(state, all_events);
+    let mut events = state.plb.fix_violations(&mut state.cluster, now);
+    events.extend(state.plb.balance(&mut state.cluster, now));
+    process_failovers(state, events);
     // Unresolved *disk* violations are customer-visible: a database on a
     // node whose disk capacity is breached is "temporarily needing to
     // wait for resources it has requested" (§1) — failed writes, dropped
@@ -1028,7 +948,7 @@ fn node_snapshot(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentSt
             cores: node.load[state.cpu],
         });
     }
-    let next = now + state.node_snapshot_period;
+    let next = now + NODE_SNAPSHOT_PERIOD;
     if next <= state.end {
         sched.schedule_at(next, node_snapshot);
     }
@@ -1076,12 +996,7 @@ fn chaos_pick_victim(state: &mut ExperimentState, requested: Option<u32>) -> Opt
 /// measured from the telemetry the crash appended.
 fn chaos_crash_one(state: &mut ExperimentState, node: NodeId, now: SimTime) -> (u64, f64) {
     let before = state.telemetry.failovers.len();
-    let events = {
-        let mut plb = state.plb.clone();
-        let ev = plb.crash_node(&mut state.cluster, node, now);
-        state.plb = plb;
-        ev
-    };
+    let events = state.plb.crash_node(&mut state.cluster, node, now);
     process_failovers(state, events);
     let moved = &state.telemetry.failovers[before..];
     (
@@ -1191,12 +1106,7 @@ fn chaos_drain(
         return;
     }
     let node = NodeId(node_raw);
-    let result = {
-        let mut plb = state.plb.clone();
-        let r = plb.drain_node(&mut state.cluster, node, now);
-        state.plb = plb;
-        r
-    };
+    let result = state.plb.drain_node(&mut state.cluster, node, now);
     let at_secs = chaos_at_secs(state, now);
     match result {
         Ok(events) => {
@@ -1255,12 +1165,7 @@ fn chaos_decommission(
     let Some(node) = chaos_pick_victim(state, requested) else {
         return;
     };
-    let result = {
-        let mut plb = state.plb.clone();
-        let r = plb.drain_node(&mut state.cluster, node, now);
-        state.plb = plb;
-        r
-    };
+    let result = state.plb.drain_node(&mut state.cluster, node, now);
     let at_secs = chaos_at_secs(state, now);
     match result {
         Ok(events) => {
@@ -1558,13 +1463,10 @@ mod tests {
 
     #[test]
     fn node_snapshots_cover_all_nodes() {
-        let overrides = ExperimentOverrides {
-            node_snapshot_secs: Some(1800),
-            ..Default::default()
-        };
-        let r = DensityExperiment::new(short_scenario(100, 2), overrides).run();
-        // Snapshots at 1800s, 3600s, 5400s, 7200s = 4 rounds x 14 nodes.
-        assert_eq!(r.telemetry.node_snapshots.len(), 4 * 14);
+        let r =
+            DensityExperiment::new(short_scenario(100, 2), ExperimentOverrides::default()).run();
+        // Snapshots every 600 s through the 7200 s end = 12 rounds x 14 nodes.
+        assert_eq!(r.telemetry.node_snapshots.len(), 12 * 14);
     }
 }
 
@@ -1655,6 +1557,41 @@ mod chaos_tests {
     }
 
     #[test]
+    fn rolling_plan_drains_and_restores_nodes() {
+        let r = DensityExperiment::new(scenario(110, 8), with_plan("rolling")).run();
+        assert_eq!(r.bootstrap.services.len(), 220);
+        // Replicas moved off each drained node: a mid-run snapshot shows
+        // an empty node, which a run without the plan never does.
+        let min_node_cores = |r: &ExperimentResult| {
+            r.telemetry
+                .node_snapshots
+                .iter()
+                .map(|s| s.cores)
+                .fold(f64::INFINITY, f64::min)
+        };
+        assert_eq!(
+            min_node_cores(&r),
+            0.0,
+            "a drained node should appear empty"
+        );
+        let baseline =
+            DensityExperiment::new(scenario(110, 8), ExperimentOverrides::default()).run();
+        assert!(
+            min_node_cores(&baseline) > 0.0,
+            "without drains no node empties"
+        );
+        // Drain moves are not failovers.
+        assert_eq!(r.telemetry.failover_count(None), 0);
+        let chaos = r.chaos.expect("chaos report present");
+        assert_eq!(chaos.oracle_violations, 0);
+        assert!(!chaos.faults.is_empty());
+        for fault in &chaos.faults {
+            assert_eq!(fault.kind, "drain", "{fault:?}");
+            assert_eq!(fault.recovery_secs, Some(3600), "{fault:?}");
+        }
+    }
+
+    #[test]
     fn empty_plan_is_byte_inert() {
         let plain = DensityExperiment::new(scenario(100, 3), ExperimentOverrides::default()).run();
         assert!(plain.chaos.is_none(), "no plan → no chaos report");
@@ -1675,45 +1612,6 @@ mod chaos_tests {
             plain.telemetry.failover_count(None),
             explicit_empty.telemetry.failover_count(None)
         );
-    }
-}
-
-#[cfg(test)]
-mod upgrade_tests {
-    use super::*;
-
-    #[test]
-    fn rolling_upgrade_drains_and_restores_nodes() {
-        let mut scenario = ScenarioSpec::gen5_stage_cluster(110);
-        scenario.duration_hours = 8;
-        let overrides = ExperimentOverrides {
-            rolling_upgrade: Some(RollingUpgrade {
-                start_hour: 1,
-                downtime_hours: 1,
-            }),
-            ..ExperimentOverrides::default()
-        };
-        let with_upgrade = DensityExperiment::new(scenario.clone(), overrides).run();
-        let baseline = DensityExperiment::new(scenario, ExperimentOverrides::default()).run();
-        // The upgraded run completes with consistent accounting and moved
-        // replicas around (node snapshots show empty nodes mid-run).
-        assert_eq!(with_upgrade.bootstrap.services.len(), 220);
-        let min_node_cores = with_upgrade
-            .telemetry
-            .node_snapshots
-            .iter()
-            .map(|s| s.cores)
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(min_node_cores, 0.0, "a drained node should appear empty");
-        let baseline_min = baseline
-            .telemetry
-            .node_snapshots
-            .iter()
-            .map(|s| s.cores)
-            .fold(f64::INFINITY, f64::min);
-        assert!(baseline_min > 0.0, "without upgrades no node empties");
-        // Drain moves are not failovers.
-        assert_eq!(with_upgrade.telemetry.failover_count(None), 0);
     }
 }
 

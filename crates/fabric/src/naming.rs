@@ -109,33 +109,21 @@ impl NamingService {
         });
     }
 
-    /// Read a key's value.
-    pub fn read(&mut self, key: &str) -> Option<String> {
-        self.stats.reads += 1;
-        self.entries.get(key).map(|e| e.value.clone())
-    }
-
-    /// Read a key's value without cloning it. Counts as a read, exactly
-    /// like [`NamingService::read`] — the RgManager report path calls
-    /// this once per persisted-metric report, which at density 140 is
-    /// tens of thousands of reads per simulated hour.
+    /// Read a key's value without cloning it. Counts as a read — the
+    /// RgManager report path calls this once per persisted-metric report,
+    /// which at density 140 is tens of thousands of reads per simulated
+    /// hour.
     pub fn get(&mut self, key: &str) -> Option<&str> {
         self.stats.reads += 1;
         self.entries.get(key).map(|e| e.value.as_str())
     }
 
-    /// Read a key's value together with its version; useful for callers
-    /// that only want to re-parse when the blob changed (RgManager's
-    /// 15-minute refresh does exactly this).
-    pub fn read_versioned(&mut self, key: &str) -> Option<(String, u64)> {
-        self.stats.reads += 1;
-        self.entries.get(key).map(|e| (e.value.clone(), e.version))
-    }
-
-    /// Borrowing variant of [`NamingService::read_versioned`]: the model
-    /// XML blob runs to kilobytes and every node's RgManager re-reads it
-    /// every simulated 15 minutes, so the refresh path must not clone it
-    /// just to discover the version is unchanged.
+    /// Read a key's value together with its version, for callers that
+    /// only want to re-parse when the blob changed (RgManager's 15-minute
+    /// refresh does exactly this). Borrows: the model XML blob runs to
+    /// kilobytes and every node's RgManager re-reads it every simulated
+    /// 15 minutes, so the refresh path must not clone it just to discover
+    /// the version is unchanged.
     pub fn get_versioned(&mut self, key: &str) -> Option<(&str, u64)> {
         self.stats.reads += 1;
         self.entries.get(key).map(|e| (e.value.as_str(), e.version))
@@ -156,7 +144,7 @@ impl NamingService {
         existed
     }
 
-    /// True iff the key exists. Unlike [`NamingService::read`] this does
+    /// True iff the key exists. Unlike [`NamingService::get`] this does
     /// not count toward [`NamingStats`], so it is safe to call from
     /// `debug_assert!` guards without perturbing reported traffic.
     pub fn contains_key(&self, key: &str) -> bool {
@@ -200,8 +188,8 @@ mod tests {
     fn write_read_roundtrip() {
         let mut ns = NamingService::new();
         ns.write("toto/models", "<xml/>");
-        assert_eq!(ns.read("toto/models"), Some("<xml/>".into()));
-        assert_eq!(ns.read("missing"), None);
+        assert_eq!(ns.get("toto/models"), Some("<xml/>"));
+        assert_eq!(ns.get("missing"), None);
         assert_eq!(ns.len(), 1);
     }
 
@@ -211,7 +199,7 @@ mod tests {
         let v1 = ns.write("k", "a");
         let v2 = ns.write("k", "b");
         assert!(v2 > v1);
-        let (val, ver) = ns.read_versioned("k").unwrap();
+        let (val, ver) = ns.get_versioned("k").unwrap();
         assert_eq!(val, "b");
         assert_eq!(ver, v2);
     }
@@ -220,8 +208,8 @@ mod tests {
     fn delete_and_stats() {
         let mut ns = NamingService::new();
         ns.write("a", "1");
-        ns.read("a");
-        ns.read("nope");
+        ns.get("a");
+        ns.get("nope");
         assert!(ns.delete("a"));
         assert!(!ns.delete("a"));
         let st = ns.stats();

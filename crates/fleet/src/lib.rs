@@ -18,9 +18,10 @@
 //!   panic isolation — a panicking job is recorded as `Failed`, never a
 //!   fleet abort — cancellation, and a [`FleetObserver`] progress hook
 //!   with jobs-per-second and ETA reporting.
-//! * **Run-artifact store** ([`store`]): schema-versioned JSON run
-//!   records (fleet manifest, per-job KPI summaries, seeds, wall-clock
-//!   timings) under `results/runs/`.
+//! * **Run-artifact store** ([`store`]): write-only, schema-versioned
+//!   JSON run records (fleet manifest, per-job KPI summaries, seeds,
+//!   wall-clock timings) under `results/runs/`, plus byte readers for
+//!   determinism checks.
 //!
 //! [`FleetJob`]: job::FleetJob
 //! [`FleetObserver`]: executor::FleetObserver
@@ -37,6 +38,6 @@ pub use executor::{
 pub use job::{density_fleet, FleetJob, FleetPlan, FleetTask, JobOutput};
 pub use json::Json;
 pub use store::{
-    kpis_from_json, kpis_to_json, revenue_from_json, revenue_to_json, FleetManifest, ManifestJob,
-    RunRecord, RunStore, RUN_SCHEMA_VERSION,
+    kpis_to_json, revenue_to_json, FleetManifest, ManifestJob, RunRecord, RunStore,
+    RUN_SCHEMA_VERSION,
 };

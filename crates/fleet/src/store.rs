@@ -19,8 +19,10 @@
 //!   runs/<fleet>/<job-label>.json     (RunRecord, one per job)
 //! ```
 //!
-//! Every record and manifest carries [`RUN_SCHEMA_VERSION`]; loading a
-//! record with a different version is an error, not a silent reinterpretation.
+//! Every record and manifest carries [`RUN_SCHEMA_VERSION`]. The store
+//! writes artifacts and reads back only their bytes: determinism checks
+//! compare bytes, and a tool that reads an artifact parses it with
+//! [`Json::parse`] and checks the version itself.
 
 use crate::json::Json;
 use std::fs;
@@ -86,42 +88,6 @@ impl RunRecord {
             ("created_during_run", Json::Uint(self.created_during_run)),
         ])
     }
-
-    /// Deserialize, rejecting unknown schema versions.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let version = json
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
-        if version != RUN_SCHEMA_VERSION {
-            return Err(format!(
-                "run record schema {version} != supported {RUN_SCHEMA_VERSION}"
-            ));
-        }
-        let str_field = |key: &str| -> Result<String, String> {
-            json.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key}"))
-        };
-        let uint_field = |obj: &Json, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing uint field {key}"))
-        };
-        let kpis_json = json.get("kpis").ok_or("missing kpis")?;
-        let revenue_json = json.get("revenue").ok_or("missing revenue")?;
-        Ok(RunRecord {
-            schema_version: version,
-            label: str_field("label")?,
-            seed: uint_field(json, "seed")?,
-            scenario_xml: str_field("scenario_xml")?,
-            kpis: kpis_from_json(kpis_json)?,
-            revenue: revenue_from_json(revenue_json)?,
-            redirect_count: uint_field(json, "redirect_count")?,
-            created_during_run: uint_field(json, "created_during_run")?,
-        })
-    }
 }
 
 /// Render a KPI summary as the fixed-order JSON object every run-record
@@ -154,35 +120,6 @@ pub fn kpis_to_json(k: &KpiSummary) -> Json {
     ])
 }
 
-/// Parse a KPI summary from the object [`kpis_to_json`] renders.
-pub fn kpis_from_json(json: &Json) -> Result<KpiSummary, String> {
-    let uint = |key: &str| -> Result<u64, String> {
-        json.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing uint field {key}"))
-    };
-    let num = |key: &str| -> Result<f64, String> {
-        json.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing number field {key}"))
-    };
-    Ok(KpiSummary {
-        failover_count: uint("failover_count")?,
-        failed_over_cores: num("failed_over_cores")?,
-        gp_failover_count: uint("gp_failover_count")?,
-        bc_failover_count: uint("bc_failover_count")?,
-        total_downtime_secs: num("total_downtime_secs")?,
-        final_reserved_cores: num("final_reserved_cores")?,
-        final_disk_gb: num("final_disk_gb")?,
-        creation_redirects: uint("creation_redirects")?,
-        throttled_core_intervals: num("throttled_core_intervals")?,
-        contended_governance_passes: uint("contended_governance_passes")?,
-        kpi_samples: uint("kpi_samples")?,
-        node_snapshot_count: uint("node_snapshot_count")?,
-        bootstrap_placement_failures: uint("bootstrap_placement_failures")?,
-    })
-}
-
 /// Render a revenue breakdown (with its derived `adjusted` total) as the
 /// fixed-order JSON object run records embed.
 pub fn revenue_to_json(r: &RevenueBreakdown) -> Json {
@@ -192,21 +129,6 @@ pub fn revenue_to_json(r: &RevenueBreakdown) -> Json {
         ("penalty", Json::Num(r.penalty)),
         ("adjusted", Json::Num(r.adjusted())),
     ])
-}
-
-/// Parse a revenue breakdown from the object [`revenue_to_json`]
-/// renders (the derived `adjusted` field is ignored).
-pub fn revenue_from_json(json: &Json) -> Result<RevenueBreakdown, String> {
-    let num = |key: &str| -> Result<f64, String> {
-        json.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing number field {key}"))
-    };
-    Ok(RevenueBreakdown {
-        compute: num("compute")?,
-        storage: num("storage")?,
-        penalty: num("penalty")?,
-    })
 }
 
 /// One job's entry in a fleet manifest.
@@ -265,68 +187,6 @@ impl FleetManifest {
                 ),
             ),
         ])
-    }
-
-    /// Deserialize, rejecting unknown schema versions.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let version = json
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
-        if version != RUN_SCHEMA_VERSION {
-            return Err(format!(
-                "manifest schema {version} != supported {RUN_SCHEMA_VERSION}"
-            ));
-        }
-        let jobs = json
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .ok_or("missing jobs")?
-            .iter()
-            .map(|j| {
-                Ok(ManifestJob {
-                    label: j
-                        .get("label")
-                        .and_then(Json::as_str)
-                        .ok_or("missing job label")?
-                        .to_string(),
-                    seed: j
-                        .get("seed")
-                        .and_then(Json::as_u64)
-                        .ok_or("missing job seed")?,
-                    status: j
-                        .get("status")
-                        .and_then(Json::as_str)
-                        .ok_or("missing job status")?
-                        .to_string(),
-                    wall_secs: j
-                        .get("wall_secs")
-                        .and_then(Json::as_f64)
-                        .ok_or("missing job wall_secs")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(FleetManifest {
-            schema_version: version,
-            fleet: json
-                .get("fleet")
-                .and_then(Json::as_str)
-                .ok_or("missing fleet")?
-                .to_string(),
-            root_seed: json
-                .get("root_seed")
-                .and_then(Json::as_u64)
-                .ok_or("missing root_seed")?,
-            threads: json
-                .get("threads")
-                .and_then(Json::as_u64)
-                .ok_or("missing threads")?,
-            wall_secs: json
-                .get("wall_secs")
-                .and_then(Json::as_f64)
-                .ok_or("missing wall_secs")?,
-            jobs,
-        })
     }
 }
 
@@ -421,29 +281,10 @@ impl RunStore {
         fs::read(self.fleet_dir(fleet).join(file_name))
     }
 
-    /// Load one job's record from a saved fleet.
-    pub fn load_record(&self, fleet: &str, label: &str) -> io::Result<RunRecord> {
-        let path = self.fleet_dir(fleet).join(format!("{label}.json"));
-        let text = fs::read_to_string(&path)?;
-        let json = Json::parse(&text).map_err(invalid)?;
-        RunRecord::from_json(&json).map_err(invalid)
-    }
-
-    /// Load a saved fleet's manifest.
-    pub fn load_manifest(&self, fleet: &str) -> io::Result<FleetManifest> {
-        let text = fs::read_to_string(self.fleet_dir(fleet).join("manifest.json"))?;
-        let json = Json::parse(&text).map_err(invalid)?;
-        FleetManifest::from_json(&json).map_err(invalid)
-    }
-
     /// Raw bytes of one job's record (for byte-identity comparisons).
     pub fn record_bytes(&self, fleet: &str, label: &str) -> io::Result<Vec<u8>> {
         fs::read(self.fleet_dir(fleet).join(format!("{label}.json")))
     }
-}
-
-fn invalid(message: impl ToString) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.to_string())
 }
 
 #[cfg(test)]
@@ -482,23 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn record_round_trips_through_json() {
-        let record = sample_record("density-120");
-        let back = RunRecord::from_json(&record.to_json()).unwrap();
-        assert_eq!(back, record);
-        // Byte-stable: render(parse(render(x))) == render(x).
-        assert_eq!(back.to_json().render(), record.to_json().render());
-    }
-
-    #[test]
-    fn unknown_schema_version_is_rejected() {
-        let mut record = sample_record("x");
-        record.schema_version = RUN_SCHEMA_VERSION + 1;
-        let err = RunRecord::from_json(&record.to_json()).unwrap_err();
-        assert!(err.contains("schema"), "got: {err}");
-    }
-
-    #[test]
     fn store_saves_and_loads_fleets() {
         let dir =
             std::env::temp_dir().join(format!("toto-fleet-store-test-{}", std::process::id()));
@@ -520,10 +344,15 @@ mod tests {
         let records = vec![sample_record("density-120")];
         store.save_fleet(&manifest, &records).unwrap();
 
-        assert_eq!(store.load_manifest("density-study").unwrap(), manifest);
         assert_eq!(
-            store.load_record("density-study", "density-120").unwrap(),
-            records[0]
+            store
+                .artifact_bytes("density-study", "manifest.json")
+                .unwrap(),
+            manifest.to_json().render().into_bytes()
+        );
+        assert_eq!(
+            store.record_bytes("density-study", "density-120").unwrap(),
+            records[0].to_json().render().into_bytes()
         );
 
         let _ = fs::remove_dir_all(&dir);

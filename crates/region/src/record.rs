@@ -9,7 +9,7 @@
 //! stored as a `region.json` artifact next to the per-ring run records.
 
 use toto_controlplane::RingAdmissionStats;
-use toto_fleet::{kpis_from_json, kpis_to_json, revenue_from_json, revenue_to_json, Json};
+use toto_fleet::{kpis_to_json, revenue_to_json, Json};
 use toto_telemetry::kpi::KpiSummary;
 use toto_telemetry::revenue::RevenueBreakdown;
 
@@ -90,40 +90,6 @@ impl RegionRunRecord {
             ("out_of_region", Json::Uint(self.out_of_region)),
         ])
     }
-
-    /// Deserialize, rejecting unknown schema versions.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let version = json
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
-        if version != REGION_SCHEMA_VERSION {
-            return Err(format!(
-                "region record schema {version} != supported {REGION_SCHEMA_VERSION}"
-            ));
-        }
-        let rings = json
-            .get("rings")
-            .and_then(Json::as_arr)
-            .ok_or("missing rings")?
-            .iter()
-            .map(ring_from_json)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(RegionRunRecord {
-            schema_version: version,
-            region: str_field(json, "region")?,
-            seed: uint_field(json, "seed")?,
-            policy: str_field(json, "policy")?,
-            duration_hours: uint_field(json, "duration_hours")?,
-            rings,
-            region_kpis: kpis_from_json(json.get("region_kpis").ok_or("missing region_kpis")?)?,
-            region_revenue: revenue_from_json(
-                json.get("region_revenue").ok_or("missing region_revenue")?,
-            )?,
-            cross_ring_redirects: uint_field(json, "cross_ring_redirects")?,
-            out_of_region: uint_field(json, "out_of_region")?,
-        })
-    }
 }
 
 fn ring_to_json(r: &RingEntry) -> Json {
@@ -154,106 +120,4 @@ fn ring_to_json(r: &RingEntry) -> Json {
         ("directed_drops", Json::Uint(r.directed_drops)),
     ]);
     Json::obj(fields)
-}
-
-fn ring_from_json(json: &Json) -> Result<RingEntry, String> {
-    let stats = json.get("stats").ok_or("missing ring stats")?;
-    Ok(RingEntry {
-        name: str_field(json, "name")?,
-        density_percent: uint_field(json, "density_percent")? as u32,
-        node_count: uint_field(json, "node_count")? as u32,
-        start_hour: uint_field(json, "start_hour")?,
-        decommission_hour: json.get("decommission_hour").and_then(Json::as_u64),
-        kpis: kpis_from_json(json.get("kpis").ok_or("missing ring kpis")?)?,
-        revenue: revenue_from_json(json.get("revenue").ok_or("missing ring revenue")?)?,
-        stats: RingAdmissionStats {
-            admitted_first_choice: uint_field(stats, "admitted_first_choice")?,
-            redirects_out: uint_field(stats, "redirects_out")?,
-            redirects_in: uint_field(stats, "redirects_in")?,
-        },
-        directed_creates: uint_field(json, "directed_creates")?,
-        directed_drops: uint_field(json, "directed_drops")?,
-    })
-}
-
-fn str_field(json: &Json, key: &str) -> Result<String, String> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key}"))
-}
-
-fn uint_field(json: &Json, key: &str) -> Result<u64, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing uint field {key}"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> RegionRunRecord {
-        let ring = |name: &str, density: u32| RingEntry {
-            name: name.to_string(),
-            density_percent: density,
-            node_count: 14,
-            start_hour: 0,
-            decommission_hour: if name == "old" { Some(4) } else { None },
-            kpis: KpiSummary {
-                failover_count: 2,
-                final_reserved_cores: 900.5,
-                creation_redirects: 1,
-                kpi_samples: 24,
-                ..KpiSummary::default()
-            },
-            revenue: RevenueBreakdown {
-                compute: 1000.0,
-                storage: 50.25,
-                penalty: 3.5,
-            },
-            stats: RingAdmissionStats {
-                admitted_first_choice: 40,
-                redirects_out: 3,
-                redirects_in: 2,
-            },
-            directed_creates: 42,
-            directed_drops: 7,
-        };
-        let mut region_kpis = KpiSummary::default();
-        let mut region_revenue = RevenueBreakdown::default();
-        let rings = vec![ring("old", 110), ring("steady", 120)];
-        for r in &rings {
-            region_kpis.accumulate(&r.kpis);
-            region_revenue.add(&r.revenue);
-        }
-        RegionRunRecord {
-            schema_version: REGION_SCHEMA_VERSION,
-            region: "lifecycle3".to_string(),
-            seed: 11,
-            policy: "spread".to_string(),
-            duration_hours: 8,
-            rings,
-            region_kpis,
-            region_revenue,
-            cross_ring_redirects: 5,
-            out_of_region: 1,
-        }
-    }
-
-    #[test]
-    fn region_record_round_trips_through_json() {
-        let record = sample();
-        let back = RegionRunRecord::from_json(&record.to_json()).unwrap();
-        assert_eq!(back, record);
-        assert_eq!(back.to_json().render(), record.to_json().render());
-    }
-
-    #[test]
-    fn unknown_schema_version_is_rejected() {
-        let mut record = sample();
-        record.schema_version = REGION_SCHEMA_VERSION + 1;
-        let err = RegionRunRecord::from_json(&record.to_json()).unwrap_err();
-        assert!(err.contains("schema"), "got: {err}");
-    }
 }

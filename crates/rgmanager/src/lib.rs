@@ -376,7 +376,7 @@ mod tests {
         assert!((v2 - 2.0).abs() < 1e-12);
         // The persisted value is in the naming service.
         let stored: f64 = naming
-            .read(&persisted_state_key(ResourceKind::Disk, 9))
+            .get(&persisted_state_key(ResourceKind::Disk, 9))
             .unwrap()
             .parse()
             .unwrap();
@@ -456,11 +456,11 @@ mod tests {
         rg.refresh_models(&mut naming);
         rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
         assert!(naming
-            .read(&persisted_state_key(ResourceKind::Disk, 9))
+            .get(&persisted_state_key(ResourceKind::Disk, 9))
             .is_some());
         RgManager::clear_persisted_state(&mut naming, 9);
         assert!(naming
-            .read(&persisted_state_key(ResourceKind::Disk, 9))
+            .get(&persisted_state_key(ResourceKind::Disk, 9))
             .is_none());
     }
 
@@ -474,7 +474,7 @@ mod tests {
         rg.refresh_models(&mut naming);
         let v = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
         let stored: f64 = naming
-            .read(&persisted_state_key(ResourceKind::Disk, 9))
+            .get(&persisted_state_key(ResourceKind::Disk, 9))
             .unwrap()
             .parse()
             .unwrap();

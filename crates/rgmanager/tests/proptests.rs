@@ -85,7 +85,7 @@ proptest! {
             );
         }
         let stored: f64 = naming
-            .read(&persisted_state_key(ResourceKind::Disk, service))
+            .get(&persisted_state_key(ResourceKind::Disk, service))
             .expect("primary persists")
             .parse()
             .expect("parses");

@@ -19,7 +19,8 @@
 //!   report periodicity, persistence flag, and the statistical parameters
 //!   of the steady-state / initial-creation / rapid-growth patterns.
 //! * [`population`] — Population Manager specs: hourly create/drop model
-//!   parameters, SLO mix, and initial metric loads.
+//!   parameters, SLO mix, and initial metric loads (a plain struct, not
+//!   an XML blob).
 //! * [`scenario`] — whole-benchmark scenarios: cluster shape, density
 //!   level, duration, seeds and bootstrap population.
 

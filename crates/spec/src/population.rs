@@ -4,11 +4,11 @@
 //! create/drop per hour, the service tier/edition and the Service Level
 //! Objective (SLO) of the databases to create, and the initial metric load
 //! for each database." This module is the declarative form of those three
-//! ingredients.
+//! ingredients. Unlike the model set it is not a Naming Service blob: the
+//! Population Manager takes the struct directly, either the built-in gen5
+//! model or one fitted from a scenario's `[workload]` table.
 
-use crate::edition::EditionKind;
 use crate::model::HourlyTable;
-use crate::xml::{ParseError, XmlElement};
 
 /// One entry of an SLO mix: a named SLO and its relative weight among
 /// creations of that edition.
@@ -39,149 +39,4 @@ pub struct PopulationModelSpec {
     /// `initial_disk_bins[edition.index()]`: equal-probability bin edges
     /// (GB) for the initial disk load of a new database.
     pub initial_disk_bins: [Vec<f64>; 2],
-}
-
-impl PopulationModelSpec {
-    /// Serialise to the XML blob handed to the Population Manager.
-    pub fn to_xml_string(&self) -> String {
-        let mut root = XmlElement::new("PopulationModel").attr("seed", self.seed);
-        for edition in EditionKind::ALL {
-            let i = edition.index();
-            let mut el = XmlElement::new("Edition").attr("kind", edition);
-            el.children.push(self.create[i].to_element("Create"));
-            el.children.push(self.drop[i].to_element("Drop"));
-            let mut mix = XmlElement::new("SloMix");
-            for entry in &self.slo_mix[i] {
-                mix.children.push(
-                    XmlElement::new("Slo")
-                        .attr("name", &entry.slo_name)
-                        .attr("weight", entry.weight),
-                );
-            }
-            el.children.push(mix);
-            let mut bins = XmlElement::new("InitialDiskBins");
-            for e in &self.initial_disk_bins[i] {
-                bins.children.push(XmlElement::new("Edge").attr("v", e));
-            }
-            el.children.push(bins);
-            root.children.push(el);
-        }
-        root.to_xml_string()
-    }
-
-    /// Parse the XML blob.
-    pub fn from_xml_str(s: &str) -> Result<Self, ParseError> {
-        let root = XmlElement::parse(s)?;
-        if root.name != "PopulationModel" {
-            return Err(ParseError {
-                offset: 0,
-                message: format!("expected <PopulationModel>, found <{}>", root.name),
-            });
-        }
-        let seed = root.parse_attr("seed")?;
-        let mut create = [
-            HourlyTable::constant(0.0, 0.0),
-            HourlyTable::constant(0.0, 0.0),
-        ];
-        let mut drop = create.clone();
-        let mut slo_mix: [Vec<SloMixEntry>; 2] = [Vec::new(), Vec::new()];
-        let mut initial_disk_bins: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        let mut seen = [false; 2];
-        for el in root.children_named("Edition") {
-            let kind: EditionKind = el.parse_attr("kind")?;
-            let i = kind.index();
-            seen[i] = true;
-            create[i] = HourlyTable::from_element(el.require_child("Create")?)?;
-            drop[i] = HourlyTable::from_element(el.require_child("Drop")?)?;
-            for slo in el.require_child("SloMix")?.children_named("Slo") {
-                slo_mix[i].push(SloMixEntry {
-                    slo_name: slo
-                        .get_attr("name")
-                        .ok_or_else(|| ParseError {
-                            offset: 0,
-                            message: "Slo missing name".into(),
-                        })?
-                        .to_string(),
-                    weight: slo.parse_attr("weight")?,
-                });
-            }
-            for edge in el.require_child("InitialDiskBins")?.children_named("Edge") {
-                initial_disk_bins[i].push(edge.parse_attr("v")?);
-            }
-        }
-        if !(seen[0] && seen[1]) {
-            return Err(ParseError {
-                offset: 0,
-                message: "PopulationModel must define both editions".into(),
-            });
-        }
-        Ok(PopulationModelSpec {
-            seed,
-            create,
-            drop,
-            slo_mix,
-            initial_disk_bins,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn spec() -> PopulationModelSpec {
-        PopulationModelSpec {
-            seed: 77,
-            create: [
-                HourlyTable::constant(8.0, 2.0),
-                HourlyTable::constant(1.5, 0.5),
-            ],
-            drop: [
-                HourlyTable::constant(7.0, 2.0),
-                HourlyTable::constant(1.0, 0.4),
-            ],
-            slo_mix: [
-                vec![
-                    SloMixEntry {
-                        slo_name: "GP_2".into(),
-                        weight: 5.0,
-                    },
-                    SloMixEntry {
-                        slo_name: "GP_4".into(),
-                        weight: 3.0,
-                    },
-                ],
-                vec![SloMixEntry {
-                    slo_name: "BC_8".into(),
-                    weight: 1.0,
-                }],
-            ],
-            initial_disk_bins: [vec![0.1, 1.0, 10.0], vec![1.0, 50.0, 500.0]],
-        }
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let s = spec();
-        let xml = s.to_xml_string();
-        let back = PopulationModelSpec::from_xml_str(&xml).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn missing_edition_is_error() {
-        let s = spec();
-        let xml = s.to_xml_string();
-        // Remove the PremiumBc edition block crudely via the parsed tree.
-        let mut root = XmlElement::parse(&xml).unwrap();
-        root.children
-            .retain(|c| c.get_attr("kind") != Some("PremiumBc"));
-        let err = PopulationModelSpec::from_xml_str(&root.to_xml_string()).unwrap_err();
-        assert!(err.message.contains("both editions"));
-    }
-
-    #[test]
-    fn wrong_root_rejected() {
-        assert!(PopulationModelSpec::from_xml_str("<X seed=\"1\"/>").is_err());
-    }
 }

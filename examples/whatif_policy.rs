@@ -1,7 +1,8 @@
 //! Toto as a what-if tool (§1's use case (b): "quantify the benefits of
 //! proposals"): compare PLB policy variants on the same scenario without
-//! touching production — here, proactive balancing on/off and a
-//! placement-headroom change.
+//! touching production — here, a placement-headroom change and a tighter
+//! per-pass failover budget. The PLB balances continuously in every run
+//! (as SF's does), so balancing itself is not a variant.
 //!
 //! ```text
 //! cargo run --release --example whatif_policy -- 72
@@ -33,12 +34,6 @@ fn main() {
     println!("what-if study at 120% density, {hours} simulated hours each\n");
 
     run("baseline", hours, ExperimentOverrides::default());
-
-    let balancing = ExperimentOverrides {
-        balance_during_run: true,
-        ..Default::default()
-    };
-    run("proactive balancing ON", hours, balancing);
 
     let headroom = ExperimentOverrides {
         plb: Some(PlbConfig {
