@@ -3,10 +3,10 @@
 //! moved due to failovers (x), with the modeled relative adjusted revenue
 //! over the 100 % run as the circle size.
 
-use toto_bench::{hours_arg, render_table, run_density_study, DENSITIES};
+use toto_bench::{render_table, run_density_study, BenchArgs, DENSITIES};
 
 fn main() {
-    let results = run_density_study(hours_arg());
+    let results = run_density_study(BenchArgs::parse().hours);
     let base_cores = results[0].final_reserved_cores;
     let base_moved = results[0].telemetry.failed_over_cores(None).max(1.0);
     let base_revenue = results[0].revenue.adjusted();

@@ -5,10 +5,10 @@
 //! hour 23 at 100 %, 28 at 110 %, 55 at 120 %); the highest density sees
 //! few or none.
 
-use toto_bench::{hours_arg, render_table, run_density_study, DENSITIES};
+use toto_bench::{render_table, run_density_study, BenchArgs, DENSITIES};
 
 fn main() {
-    let results = run_density_study(hours_arg());
+    let results = run_density_study(BenchArgs::parse().hours);
     println!("Figure 10 — cumulative creation redirects per hour\n");
     let mut rows = Vec::new();
     let hours = results[0].telemetry.creation_redirects.len();

@@ -6,10 +6,10 @@
 //! paper traces this to a single high-initial-growth BC database admitted
 //! only at the higher densities).
 
-use toto_bench::{hours_arg, render_table, run_density_study, DENSITIES};
+use toto_bench::{render_table, run_density_study, BenchArgs, DENSITIES};
 
 fn main() {
-    let results = run_density_study(hours_arg());
+    let results = run_density_study(BenchArgs::parse().hours);
     println!("Figure 11 — reserved cores vs disk usage (hourly samples)\n");
     let hours = results[0].telemetry.reserved_cores.len();
     let mut rows = Vec::new();

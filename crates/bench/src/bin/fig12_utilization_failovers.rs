@@ -6,11 +6,11 @@
 //! at 140 %); 140 % fails over the most cores, predominantly Premium/BC;
 //! 120 % is lowest.
 
-use toto_bench::{hours_arg, render_table, run_density_study, DENSITIES};
+use toto_bench::{render_table, run_density_study, BenchArgs, DENSITIES};
 use toto_spec::EditionKind;
 
 fn main() {
-    let results = run_density_study(hours_arg());
+    let results = run_density_study(BenchArgs::parse().hours);
     let base_cores = results[0].final_reserved_cores;
     let base_disk = results[0].final_disk_gb;
 

@@ -4,10 +4,10 @@
 //! Expected shape: revenue rises with density up to 120 % and *drops* at
 //! 140 %, whose SLA penalty dwarfs the other runs (paper: > 60x).
 
-use toto_bench::{hours_arg, render_table, run_density_study, DENSITIES};
+use toto_bench::{render_table, run_density_study, BenchArgs, DENSITIES};
 
 fn main() {
-    let results = run_density_study(hours_arg());
+    let results = run_density_study(BenchArgs::parse().hours);
     println!("Figure 14 — modeled adjusted revenue over the run\n");
     let rows: Vec<Vec<String>> = DENSITIES
         .iter()

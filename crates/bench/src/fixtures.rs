@@ -1,9 +1,5 @@
-//! Shared PLB benchmark fixtures.
-//!
-//! One construction, two consumers: the criterion benches
-//! (`benches/plb.rs`) and `benchtrack`'s PLB probes time the **same**
-//! loaded rings, so a criterion number and a `plb.*_ns` benchmark metric
-//! measure the same work. A fixture change makes every `plb_*` figure
+//! PLB benchmark fixtures: the loaded rings `benchtrack`'s `plb.*_ns`
+//! probes time. A fixture change makes every `plb.*_ns` figure
 //! incomparable with those measured before it.
 
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
@@ -13,14 +9,10 @@ use toto_fabric::plb::{Plb, PlbConfig};
 use toto_simcore::rng::DetRng;
 use toto_simcore::time::SimTime;
 
-/// Node count of the paper's gen5 stage ring (Table 2 population).
-pub const RING_NODES: u32 = 14;
-/// Service count of the gen5 stage-ring fixture.
-pub const RING_SERVICES: u64 = 220;
-
 /// The gen5 Table-2 mix stretched to `nodes`: ~16 services per node, one
-/// BC (4 replicas) per seven services, same per-service loads as the
-/// 14-node fixture. Returns the cluster plus its CPU and disk metric ids.
+/// BC (4 replicas) per seven services, the per-service loads of the
+/// paper's 14-node / 220-service stage ring. Returns the cluster plus its
+/// CPU and disk metric ids.
 pub fn loaded_cluster_at(nodes: u32, services: u64) -> (Cluster, MetricId, MetricId) {
     let mut metrics = MetricRegistry::new();
     let cpu = metrics.register(MetricDef {
@@ -60,11 +52,6 @@ pub fn loaded_cluster_at(nodes: u32, services: u64) -> (Cluster, MetricId, Metri
     }
     assert_eq!(cluster.service_count(), services as usize);
     (cluster, cpu, disk)
-}
-
-/// The 14-node / 220-service stage-ring fixture.
-pub fn loaded_cluster() -> (Cluster, MetricId, MetricId) {
-    loaded_cluster_at(RING_NODES, RING_SERVICES)
 }
 
 /// The standard "new BC" placement workload: a 4-replica business

@@ -1,9 +1,9 @@
 //! Experiment drivers for the Toto reproduction.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`; criterion
-//! micro-benches live in `benches/`. This library holds what they share:
-//! command-line conventions ([`BenchArgs`]), running the four-density
-//! study as a parallel fleet, and rendering aligned text tables.
+//! One binary per table/figure of the paper lives in `src/bin/`. This
+//! library holds what they share: command-line conventions
+//! ([`BenchArgs`]), running the four-density study as a parallel fleet,
+//! rendering aligned text tables, and the PLB fixtures `benchtrack` times.
 
 use toto::experiment::{ExperimentOverrides, ExperimentResult};
 use toto_fleet::{FleetExecutor, FleetPlan, StderrProgress};
@@ -37,15 +37,21 @@ pub struct BenchArgs {
     pub out: Option<String>,
 }
 
+/// The usage line printed when a driver rejects its flags.
+const USAGE: &str = "usage: <driver> [--hours N] [--threads T] [--seed S] [--out DIR]";
+
 impl BenchArgs {
-    /// Parse from the process arguments; panics with a usage hint on a
-    /// malformed flag.
+    /// Parse from the process arguments; on a malformed flag, print the
+    /// error and the usage line to stderr and exit 2.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        })
     }
 
     /// Parse from an explicit argument list (testable seam).
-    pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Self {
+    pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = BenchArgs {
             hours: None,
             threads: default_threads(),
@@ -54,24 +60,16 @@ impl BenchArgs {
         };
         let mut iter = argv.into_iter();
         while let Some(flag) = iter.next() {
-            let mut value = |name: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-            };
+            let mut value = || iter.next().ok_or(format!("{flag} requires a value"));
             match flag.as_str() {
-                "--hours" => args.hours = Some(value("--hours").parse().expect("--hours: integer")),
-                "--threads" => {
-                    args.threads = value("--threads").parse().expect("--threads: integer")
-                }
-                "--seed" => args.seed = Some(value("--seed").parse().expect("--seed: integer")),
-                "--out" => args.out = Some(value("--out")),
-                other => panic!(
-                    "unknown flag {other:?} \
-                     (drivers accept --hours N, --threads T, --seed S, --out DIR)"
-                ),
+                "--hours" => args.hours = Some(integer(&flag, value()?)?),
+                "--threads" => args.threads = integer(&flag, value()?)?,
+                "--seed" => args.seed = Some(integer(&flag, value()?)?),
+                "--out" => args.out = Some(value()?),
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        args
+        Ok(args)
     }
 
     /// `--hours` with a driver-supplied default.
@@ -85,17 +83,15 @@ impl BenchArgs {
     }
 }
 
+fn integer<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: not an integer: {value:?}"))
+}
+
 /// All available cores (the fleet default).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(4, usize::from)
-}
-
-/// Parse `--hours N` from argv; `None` means the paper's 144 hours.
-///
-/// Thin compatibility shim over [`BenchArgs`] for drivers that take no
-/// other flags.
-pub fn hours_arg() -> Option<u64> {
-    BenchArgs::parse().hours
 }
 
 /// The §5 density study as a fleet plan: one job per density level on
@@ -211,7 +207,8 @@ mod tests {
                 "tmp",
             ]
             .map(String::from),
-        );
+        )
+        .expect("valid flags");
         assert_eq!(args.hours, Some(12));
         assert_eq!(args.threads, 3);
         assert_eq!(args.seed, Some(7));
@@ -221,16 +218,20 @@ mod tests {
 
     #[test]
     fn bench_args_defaults() {
-        let args = BenchArgs::parse_from(Vec::new());
+        let args = BenchArgs::parse_from(Vec::new()).expect("no flags");
         assert_eq!(args.hours, None);
         assert_eq!(args.hours_or(144), 144);
         assert!(args.threads >= 1);
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
     fn bench_args_reject_typos() {
-        BenchArgs::parse_from(["--hour".to_string(), "12".to_string()]);
+        let err = BenchArgs::parse_from(["--hour", "12"].map(String::from));
+        assert_eq!(err, Err("unknown flag \"--hour\"".to_string()));
+        let err = BenchArgs::parse_from(["--hours", "twelve"].map(String::from));
+        assert!(err.unwrap_err().contains("--hours"));
+        let err = BenchArgs::parse_from(["--out".to_string()]);
+        assert_eq!(err, Err("--out requires a value".to_string()));
     }
 
     #[test]

@@ -111,8 +111,6 @@ impl Default for Config {
             levels,
             d002_allowed_paths: vec![
                 "crates/fleet/src/executor.rs".to_string(),
-                "crates/bench".to_string(),
-                "crates/fleet/benches".to_string(),
                 // The linter's own `--timing` flag measures wall time.
                 "crates/lint/src/main.rs".to_string(),
             ],

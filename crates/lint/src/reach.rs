@@ -2,7 +2,7 @@
 //!
 //! **D004 — sim-path reachability.** The per-file rules D001–D003 have
 //! deliberate blind spots: D001 applies only to sim-path crates, D002
-//! has allowed paths (the fleet executor, benches), and any site can be
+//! has allowed paths (the fleet executor), and any site can be
 //! inline-allowed. A nondeterminism source in a helper crate that is
 //! *called from* a sim path escapes all of them. D004 closes the gap:
 //! it seeds from every `pub fn` in sim-path library code, walks the

@@ -151,7 +151,7 @@ fn rule_d002(tokens: &[Token], findings: &mut Vec<Finding>) {
                 t,
                 format!(
                     "{}::now() reads the wall clock; simulation code must use SimTime \
-                     (wall-clock is allowed only in the fleet executor and benches)",
+                     (wall-clock is allowed only in the fleet executor)",
                     t.text
                 ),
             ));

@@ -24,25 +24,40 @@
 use toto_fleet::{FleetExecutor, FleetPlan, NullObserver, RunRecord};
 use toto_region::{RegionRunner, RegionSpec};
 
-fn main() {
+const USAGE: &str = "usage: study_region [--threads T] [--hours H]";
+
+/// `(threads, hours)` from the flags, or the error to print with [`USAGE`].
+fn parse_args(argv: &[String]) -> Result<(usize, Option<u64>), String> {
     let mut threads = std::thread::available_parallelism().map_or(4, usize::from);
     let mut hours = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
+    let mut iter = argv.iter();
+    while let Some(flag) = iter.next() {
+        let mut value = || iter.next().ok_or(format!("{flag} requires a value"));
         match flag.as_str() {
-            "--threads" => threads = value("--threads").parse().expect("--threads: integer"),
-            "--hours" => hours = Some(value("--hours").parse().expect("--hours: integer")),
-            "--help" | "-h" => {
-                eprintln!("usage: study_region [--threads T] [--hours H]");
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other:?} (try --help)"),
+            "--threads" => threads = integer(flag, value()?)?,
+            "--hours" => hours = Some(integer(flag, value()?)?),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    Ok((threads, hours))
+}
+
+fn integer<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: not an integer: {value:?}"))
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{USAGE}");
+        return;
+    }
+    let (threads, hours) = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("study_region: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let mut spec = RegionSpec::named("mixed4").expect("built-in region");
     if let Some(h) = hours {

@@ -21,7 +21,6 @@
 //! to identical bytes.
 
 use crate::event::{EventBody, EventKind, FieldDef, FieldType, TraceEvent, Value, ALL_KINDS};
-use std::io::{self, Write};
 
 /// File magic; the trailing NUL pads it to 8 bytes.
 pub const MAGIC: &[u8; 8] = b"TOTOTRC\0";
@@ -75,39 +74,6 @@ pub fn encode_event(out: &mut Vec<u8>, ev: &TraceEvent) {
             Value::F64(v) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
             Value::Str(s) => write_str(out, &s),
         }
-    }
-}
-
-/// Streaming encoder over any writer: header on construction, one record
-/// per [`StreamEncoder::event`]. Used by the file sink.
-pub struct StreamEncoder<W: Write> {
-    out: W,
-    scratch: Vec<u8>,
-}
-
-impl<W: Write> StreamEncoder<W> {
-    pub fn new(mut out: W) -> io::Result<Self> {
-        let mut header = Vec::with_capacity(512);
-        encode_header(&mut header);
-        out.write_all(&header)?;
-        Ok(StreamEncoder {
-            out,
-            scratch: Vec::with_capacity(128),
-        })
-    }
-
-    pub fn event(&mut self, ev: &TraceEvent) -> io::Result<()> {
-        self.scratch.clear();
-        encode_event(&mut self.scratch, ev);
-        self.out.write_all(&self.scratch)
-    }
-
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-
-    pub fn into_inner(self) -> W {
-        self.out
     }
 }
 
@@ -244,7 +210,8 @@ impl<'a> Reader<'a> {
 
     fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.varint()? as usize;
-        if self.pos + len > self.buf.len() {
+        // `len` comes from the input; `pos + len` could overflow.
+        if len > self.buf.len() - self.pos {
             return Err(self.err("string runs past end of trace"));
         }
         let bytes = &self.buf[self.pos..self.pos + len];
@@ -580,21 +547,21 @@ mod tests {
     }
 
     #[test]
-    fn stream_encoder_matches_batch() {
-        let events = sample_events();
-        let mut enc = StreamEncoder::new(Vec::new()).expect("vec write");
-        for ev in &events {
-            enc.event(ev).expect("vec write");
-        }
-        assert_eq!(enc.into_inner(), encode_all(&events));
-    }
-
-    #[test]
     fn rejects_garbage() {
         assert!(decode(b"not a trace").is_err());
         let mut bytes = encode_all(&sample_events());
         bytes.truncate(bytes.len() - 1);
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn rejects_oversized_string_length() {
+        // A one-kind header whose kind-name length is u64::MAX.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[FORMAT_VERSION, 1, 0]);
+        write_varint(&mut bytes, u64::MAX);
+        let err = decode(&bytes).expect_err("length exceeds the input");
+        assert_eq!(err.message, "string runs past end of trace");
     }
 
     #[test]

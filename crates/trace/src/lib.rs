@@ -22,8 +22,8 @@
 //!    matches the fleet executor's job-per-worker model.
 //!
 //! Sinks: [`NullSink`] (disabled), [`RingSink`] (bounded in-memory flight
-//! recorder), [`BufferSink`] / [`FileSink`] (full trace in the compact
-//! self-describing binary format of [`codec`]). Wrap a sink in
+//! recorder), [`BufferSink`] (full trace in the compact self-describing
+//! binary format of [`codec`]). Wrap a sink in
 //! [`Shared`] to keep a handle for inspection while it is installed.
 
 pub mod codec;
@@ -35,4 +35,4 @@ pub mod sink;
 
 pub use event::{mask, EventBody, EventKind, TraceEvent, Value, ALL_KINDS, KIND_COUNT};
 pub use session::{emit, install, is_active, set_now_secs, uninstall, SessionGuard};
-pub use sink::{BufferSink, FileSink, NullSink, RingSink, Shared, TraceSink};
+pub use sink::{BufferSink, NullSink, RingSink, Shared, TraceSink};

@@ -4,13 +4,9 @@
 //! is thread-local (one sink per fleet worker / test thread), so sharing
 //! uses `Rc<RefCell<…>>`, not locks.
 
-use crate::codec::StreamEncoder;
 use crate::event::{mask, TraceEvent};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{self, BufWriter};
-use std::path::Path;
 use std::rc::Rc;
 
 /// Destination for emitted trace events.
@@ -98,8 +94,8 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Buffers the full encoded trace in memory; `bytes()` yields exactly what
-/// [`FileSink`] would have written to disk.
+/// Buffers the full encoded trace in memory; `bytes()` yields the header
+/// followed by every recorded event, as [`crate::codec::encode_all`] would.
 #[derive(Debug)]
 pub struct BufferSink {
     out: Vec<u8>,
@@ -144,69 +140,6 @@ impl TraceSink for BufferSink {
 
     fn kind_mask(&self) -> u64 {
         self.mask
-    }
-}
-
-/// Streams the encoded trace to a file. Write errors are latched and
-/// re-surfaced by [`FileSink::finish`]; recording itself stays infallible
-/// so instrumented sim code never sees I/O results.
-pub struct FileSink {
-    enc: Option<StreamEncoder<BufWriter<File>>>,
-    error: Option<io::Error>,
-    mask: u64,
-}
-
-impl FileSink {
-    pub fn create(path: &Path) -> io::Result<FileSink> {
-        let file = File::create(path)?;
-        let enc = StreamEncoder::new(BufWriter::new(file))?;
-        Ok(FileSink {
-            enc: Some(enc),
-            error: None,
-            mask: mask::ALL,
-        })
-    }
-
-    pub fn with_mask(mut self, mask: u64) -> FileSink {
-        self.mask = mask;
-        self
-    }
-
-    /// Flush buffered bytes and surface any latched write error.
-    pub fn finish(&mut self) -> io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        match self.enc.as_mut() {
-            Some(enc) => enc.flush(),
-            None => Ok(()),
-        }
-    }
-}
-
-impl TraceSink for FileSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Some(enc) = self.enc.as_mut() {
-            if let Err(e) = enc.event(ev) {
-                self.error = Some(e);
-            }
-        }
-    }
-
-    fn kind_mask(&self) -> u64 {
-        self.mask
-    }
-}
-
-impl Drop for FileSink {
-    fn drop(&mut self) {
-        // Best-effort flush; callers who care about errors use finish().
-        if let Some(enc) = self.enc.as_mut() {
-            let _ = enc.flush();
-        }
     }
 }
 

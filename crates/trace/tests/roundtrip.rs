@@ -1,10 +1,10 @@
 //! Codec round-trip coverage: every event kind (including the chaos
 //! kinds) must survive encode → decode → re-encode byte-identically
-//! through both the in-memory and the file sink, and malformed inputs
-//! must produce a typed [`DecodeError`], never a panic.
+//! through the in-memory sink, and malformed inputs must produce a typed
+//! [`DecodeError`], never a panic.
 
 use toto_trace::codec::{decode, encode_all, retype, DecodeError, FORMAT_VERSION, MAGIC};
-use toto_trace::{BufferSink, EventBody, FileSink, TraceEvent, TraceSink, ALL_KINDS, KIND_COUNT};
+use toto_trace::{BufferSink, EventBody, TraceEvent, TraceSink, ALL_KINDS, KIND_COUNT};
 
 /// One representative event per kind, in kind-id order.
 fn one_event_per_kind() -> Vec<TraceEvent> {
@@ -178,26 +178,6 @@ fn every_kind_round_trips_through_buffer_sink() {
 }
 
 #[test]
-fn every_kind_round_trips_through_file_sink() {
-    let events = one_event_per_kind();
-    let path =
-        std::env::temp_dir().join(format!("toto_trace_roundtrip_{}.trace", std::process::id()));
-    let mut sink = FileSink::create(&path).expect("create trace file");
-    for ev in &events {
-        sink.record(ev);
-    }
-    sink.finish().expect("flush trace file");
-    drop(sink);
-    let bytes = std::fs::read(&path).expect("read trace file back");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(bytes, encode_all(&events), "file sink bytes match batch");
-    let file = decode(&bytes).expect("file trace decodes");
-    for (orig, dec) in events.iter().zip(&file.events) {
-        assert_eq!(retype(&file, dec), Some(orig.body.clone()));
-    }
-}
-
-#[test]
 fn truncated_trace_yields_typed_error_at_every_cut() {
     let bytes = encode_all(&one_event_per_kind());
     // Cutting the stream anywhere inside the header or mid-record must
@@ -208,6 +188,31 @@ fn truncated_trace_yields_typed_error_at_every_cut() {
         match decode(truncated) {
             Ok(file) => assert!(file.events.len() <= KIND_COUNT),
             Err(DecodeError { offset, .. }) => assert!(offset <= cut),
+        }
+    }
+}
+
+#[test]
+fn single_byte_overwrites_never_panic() {
+    let bytes = encode_all(&one_event_per_kind());
+    // A fixed-seed LCG: the same 4,096 overwrites every run.
+    let mut state: u64 = 42;
+    for _ in 0..4096 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let r = state >> 16;
+        let at = (r % bytes.len() as u64) as usize;
+        let mut damaged = bytes.clone();
+        // A non-zero XOR always changes the byte.
+        damaged[at] ^= ((r >> 24) % 255 + 1) as u8;
+        // Whatever decodes must also render and retype without panicking,
+        // as `trace_tool dump` and `diff` do.
+        if let Ok(file) = decode(&damaged) {
+            for ev in &file.events {
+                let _ = file.render(ev);
+                let _ = retype(&file, ev);
+            }
         }
     }
 }
