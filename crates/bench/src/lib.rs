@@ -5,7 +5,7 @@
 //! ([`BenchArgs`]), running the four-density study as a parallel fleet,
 //! rendering aligned text tables, and the PLB fixtures `benchtrack` times.
 
-use toto::experiment::{ExperimentOverrides, ExperimentResult};
+use toto::experiment::{run_end, ExperimentOverrides, ExperimentResult};
 use toto_fleet::{FleetExecutor, FleetPlan, StderrProgress};
 use toto_spec::ScenarioSpec;
 
@@ -68,6 +68,9 @@ impl BenchArgs {
                 "--out" => args.out = Some(value()?),
                 other => return Err(format!("unknown flag {other:?}")),
             }
+        }
+        if let Some(hours) = args.hours {
+            run_end(hours).map_err(|e| format!("--hours: {e}"))?;
         }
         Ok(args)
     }
@@ -232,6 +235,12 @@ mod tests {
         assert!(err.unwrap_err().contains("--hours"));
         let err = BenchArgs::parse_from(["--out".to_string()]);
         assert_eq!(err, Err("--out requires a value".to_string()));
+    }
+
+    #[test]
+    fn bench_args_reject_hours_past_the_clock() {
+        let err = BenchArgs::parse_from(["--hours", "18446744073709551615"].map(String::from));
+        assert!(err.unwrap_err().contains("overflows the simulated clock"));
     }
 
     #[test]

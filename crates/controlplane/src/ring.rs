@@ -119,11 +119,6 @@ impl RingSet {
         self.rings.get(i)
     }
 
-    /// Index of the ring with this name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.rings.iter().position(|r| r.name == name)
-    }
-
     /// Ledger invariants: reservations stay within `[0, logical]` for
     /// every ring (a tiny epsilon absorbs f64 accumulation error).
     pub fn invariants_hold(&self) -> bool {

@@ -32,7 +32,7 @@ use toto_models::compiled::ReplicaRoleKind;
 use toto_rgmanager::{persisted_state_key, ReportRequest, RgManager, MODEL_KEY};
 use toto_simcore::event::{Scheduler, Simulation};
 use toto_simcore::rng::DetRng;
-use toto_simcore::time::{SimDuration, SimTime};
+use toto_simcore::time::{SimDuration, SimTime, SECS_PER_HOUR, SECS_PER_WEEK};
 use toto_spec::model::ModelSetSpec;
 use toto_spec::population::PopulationModelSpec;
 use toto_spec::{EditionKind, ResourceKind, ScenarioSpec};
@@ -63,6 +63,39 @@ pub struct ExperimentOverrides {
 /// Interval between node-level snapshots: the paper's Figure 13 uses
 /// 10-minute node readings.
 const NODE_SNAPSHOT_PERIOD: SimDuration = SimDuration::from_secs(600);
+
+/// The experiment clock starts one week after the bootstrap epoch: the
+/// initial population is pre-aged (its databases must not re-trigger
+/// initial-creation growth — the paper freezes growth during bootstrap
+/// for exactly this reason), and a whole number of weeks keeps the
+/// epoch-is-Monday calendar alignment.
+pub const RUN_START: SimTime = SimTime::from_secs(SECS_PER_WEEK);
+
+/// A run length whose end time does not fit the `u64`-second clock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunTooLong {
+    /// The rejected run length, hours.
+    pub hours: u64,
+}
+
+impl std::fmt::Display for RunTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} hours overflows the simulated clock (u64 seconds)",
+            self.hours
+        )
+    }
+}
+
+/// The end of a run of `hours` hours. Every front end checks a
+/// user-supplied run length here, so an end time never wraps.
+pub fn run_end(hours: u64) -> Result<SimTime, RunTooLong> {
+    hours
+        .checked_mul(SECS_PER_HOUR)
+        .and_then(|secs| RUN_START.checked_add(SimDuration::from_secs(secs)))
+        .ok_or(RunTooLong { hours })
+}
 
 /// Billing bookkeeping per live database.
 #[derive(Clone, Debug)]
@@ -250,12 +283,7 @@ impl DensityExperiment {
         )
         .expect("bootstrap mix resolves against the gen5 catalog");
 
-        // The experiment clock starts one week after the bootstrap epoch:
-        // the initial population is pre-aged (its databases must not
-        // re-trigger initial-creation growth — the paper freezes growth
-        // during bootstrap for exactly this reason), and a whole number of
-        // weeks keeps the epoch-is-Monday calendar alignment.
-        let start = SimTime::ZERO + SimDuration::from_days(7);
+        let start = RUN_START;
 
         // --- Toto orchestrator: write models, seed persisted state --------
         let mut naming = NamingService::new();
@@ -1403,6 +1431,17 @@ mod tests {
         let mut s = ScenarioSpec::gen5_stage_cluster(density);
         s.duration_hours = hours;
         s
+    }
+
+    #[test]
+    fn run_end_rejects_runs_that_overflow_the_clock() {
+        assert_eq!(run_end(144), Ok(RUN_START + SimDuration::from_hours(144)));
+        // The last hour count whose end fits once the week of history
+        // before the run is added, and the first that does not.
+        let last = (u64::MAX - RUN_START.as_secs()) / SECS_PER_HOUR;
+        assert!(run_end(last).is_ok());
+        assert_eq!(run_end(last + 1), Err(RunTooLong { hours: last + 1 }));
+        assert_eq!(run_end(u64::MAX), Err(RunTooLong { hours: u64::MAX }));
     }
 
     #[test]

@@ -156,11 +156,6 @@ pub struct LoadVec {
 }
 
 impl LoadVec {
-    /// Construct from raw values (arity must match the registry's).
-    pub fn from_values(values: Vec<f64>) -> Self {
-        LoadVec { values }
-    }
-
     /// Number of metrics.
     pub fn len(&self) -> usize {
         self.values.len()

@@ -260,11 +260,6 @@ impl RunStore {
         Ok(path)
     }
 
-    /// Load one job's chaos-report sidecar bytes.
-    pub fn chaos_bytes(&self, fleet: &str, label: &str) -> io::Result<Vec<u8>> {
-        fs::read(self.fleet_dir(fleet).join(format!("{label}.chaos.json")))
-    }
-
     /// Write an arbitrary named artifact into a fleet directory (region
     /// run records and the region control-plane trace use this). The
     /// file name is used verbatim; callers own the naming convention.

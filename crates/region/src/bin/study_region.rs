@@ -39,6 +39,9 @@ fn parse_args(argv: &[String]) -> Result<(usize, Option<u64>), String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    if let Some(h) = hours {
+        toto::experiment::run_end(h).map_err(|e| format!("--hours: {e}"))?;
+    }
     Ok((threads, hours))
 }
 

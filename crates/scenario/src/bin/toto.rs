@@ -1,9 +1,8 @@
-//! `toto` — run any scenario or `<Scenario>` XML spec, or emit a spec.
+//! `toto` — run a built-in scenario or a scenario TOML file.
 //!
 //! ```text
-//! toto run <builtin | file.toml | spec.xml> [--seeds N] [--threads T]
+//! toto run <builtin | file.toml> [--seeds N] [--threads T]
 //!          [--hours H] [--out DIR] [--trace]
-//! toto emit [density]
 //! ```
 //!
 //! See [`toto_scenario::cli`] for the command reference and exit codes.

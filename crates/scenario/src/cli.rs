@@ -1,35 +1,30 @@
 //! The `toto` command line: the one front end for every run.
 //!
 //! ```text
-//! toto run <builtin | file.toml | spec.xml> [--seeds N] [--threads T]
+//! toto run <builtin | file.toml> [--seeds N] [--threads T]
 //!          [--hours H] [--out DIR] [--trace]
-//! toto emit [density]
 //! ```
 //!
-//! `run` takes a built-in scenario name ([`NAMED_SCENARIOS`]), a scenario
-//! TOML file, or a paper-style `<Scenario>` XML spec (any path ending in
-//! `.xml`). Everything a run studies — densities, chaos plan, region,
-//! seed — lives in the scenario file; the flags only say how to execute
-//! it. An XML spec runs as a one-job pinned fleet ([`run_spec`]) through
-//! the same executor-and-store path as a scenario. `emit` prints the
-//! gen5 stage-ring `<Scenario>` XML at a density (default 100), ready to
-//! edit and run.
+//! `run` takes a built-in scenario name ([`NAMED_SCENARIOS`]) or a
+//! scenario TOML file. Everything a run studies — densities, chaos plan,
+//! region, seed — lives in the scenario file; the flags only say how to
+//! execute it.
 //!
 //! Exit codes: 0 on success; 1 when a run ran but failed (a job failed,
 //! the K-S oracle gate rejected the workload, a chaos invariant oracle
 //! fired, or artifacts could not be written); 2 on bad input (usage,
-//! flag values, an unreadable or malformed scenario or spec). Bad input
-//! never panics.
+//! flag values, an unreadable or malformed scenario). Bad input never
+//! panics.
 
 use crate::builtin::{builtin, NAMED_SCENARIOS};
 use crate::doc::ScenarioDoc;
 use crate::error::ScenarioError;
-use crate::runner::{run, run_spec, RunOptions};
+use crate::runner::{run, RunOptions};
+use toto::experiment::run_end;
 use toto_fleet::StderrProgress;
-use toto_spec::ScenarioSpec;
 
-const USAGE: &str = "usage: toto run <builtin | file.toml | spec.xml> [--seeds N] [--threads T] \
-                     [--hours H] [--out DIR] [--trace]\n       toto emit [density]";
+const USAGE: &str = "usage: toto run <builtin | file.toml> [--seeds N] [--threads T] \
+                     [--hours H] [--out DIR] [--trace]";
 
 /// A resolved scenario: its source text plus where it came from.
 #[derive(Clone, Debug)]
@@ -109,19 +104,13 @@ fn parse_run_args(argv: &[String]) -> Result<RunArgs, String> {
     if args.seeds == 0 {
         return Err("--seeds must be at least 1".to_string());
     }
-    if args.hours == Some(0) {
-        return Err("--hours must be positive".to_string());
+    if let Some(hours) = args.hours {
+        if hours == 0 {
+            return Err("--hours must be positive".to_string());
+        }
+        run_end(hours).map_err(|e| format!("--hours: {e}"))?;
     }
     Ok(args)
-}
-
-/// Read a paper-style `<Scenario>` XML spec.
-fn load_spec(path: &str) -> Result<ScenarioSpec, ScenarioError> {
-    let xml = std::fs::read_to_string(path).map_err(|e| ScenarioError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })?;
-    ScenarioSpec::from_xml_str(&xml).map_err(|e| ScenarioError::invalid(format!("{path}: {e}")))
 }
 
 fn fail(code: i32, err: impl std::fmt::Display) -> i32 {
@@ -139,23 +128,13 @@ fn run_command(argv: &[String]) -> i32 {
         seeds: args.seeds,
         out: args.out,
     };
-    let result = if args.target.ends_with(".xml") {
-        let mut spec = match load_spec(&args.target) {
-            Ok(spec) => spec,
-            Err(e) => return fail(2, e),
-        };
-        spec.duration_hours = args.hours.unwrap_or(spec.duration_hours);
-        run_spec(spec, args.trace, &options, &StderrProgress)
-    } else {
-        let mut resolved = match resolve(&args.target) {
-            Ok(resolved) => resolved,
-            Err(e) => return fail(2, e),
-        };
-        resolved.doc.hours = args.hours.or(resolved.doc.hours);
-        resolved.doc.trace |= args.trace;
-        run(&resolved.doc, &resolved.source, &options, &StderrProgress)
+    let mut resolved = match resolve(&args.target) {
+        Ok(resolved) => resolved,
+        Err(e) => return fail(2, e),
     };
-    match result {
+    resolved.doc.hours = args.hours.or(resolved.doc.hours);
+    resolved.doc.trace |= args.trace;
+    match run(&resolved.doc, &resolved.source, &options, &StderrProgress) {
         Ok(summary) => {
             println!(
                 "{}: {} completed, {} failed, {} oracle families fitted -> {}",
@@ -175,28 +154,11 @@ fn run_command(argv: &[String]) -> i32 {
     }
 }
 
-fn emit_command(argv: &[String]) -> i32 {
-    let density = match argv {
-        [] => 100,
-        [d] => match d.parse::<u32>() {
-            Ok(d) => d,
-            Err(_) => return fail(2, format!("emit: not a density: {d:?}\n{USAGE}")),
-        },
-        _ => return fail(2, format!("emit takes at most one density\n{USAGE}")),
-    };
-    print!(
-        "{}",
-        ScenarioSpec::gen5_stage_cluster(density).to_xml_string()
-    );
-    0
-}
-
 /// Run the `toto` command line on `argv` (without the program name) and
 /// return the process exit code.
 pub fn main(argv: &[String]) -> i32 {
     match argv.first().map(String::as_str) {
         Some("run") => run_command(&argv[1..]),
-        Some("emit") => emit_command(&argv[1..]),
         Some("help" | "--help" | "-h") => {
             println!(
                 "{USAGE}\nbuilt-in scenarios: {}",

@@ -12,7 +12,7 @@
 //! what makes its run records reproduce the pinned §5.2 artifacts under
 //! `results/runs/fleet_runner/` byte-for-byte.
 
-use crate::doc::{RegionConfig, ScenarioDoc, ScenarioKind, SeedPolicy};
+use crate::doc::{RegionConfig, ScenarioDoc, ScenarioKind};
 use crate::error::ScenarioError;
 use crate::oracle::KsOracle;
 use crate::workload::fit_workload;
@@ -74,7 +74,7 @@ pub struct CompiledPools {
     pub pool_vcores: u32,
     /// Per-database reservation in the singleton comparison, vcores.
     pub per_db_vcores: u32,
-    /// Member disk sizes per pool, GB (synthesized or the fixed ladder).
+    /// Member disk sizes per pool, GB.
     pub member_sizes: Vec<Vec<f64>>,
     /// The scenario's K-S verdicts.
     pub oracle: KsOracle,
@@ -184,10 +184,7 @@ fn compile_fleet(doc: &ScenarioDoc) -> Result<CompiledFleet, ScenarioError> {
             chaos: chaos.clone(),
             ..ExperimentOverrides::default()
         };
-        match doc.seed_policy {
-            SeedPolicy::Derived => plan.add(label, scenario, overrides),
-            SeedPolicy::Pinned => plan.add_pinned(label, scenario, overrides),
-        };
+        plan.add(label, scenario, overrides);
     }
     if doc.trace {
         plan.trace_all();
@@ -265,18 +262,10 @@ fn compile_pools(doc: &ScenarioDoc) -> Result<CompiledPools, ScenarioError> {
         .ok_or_else(|| ScenarioError::invalid("pools scenario lost its [pools]"))?;
     let seed = doc.seed.unwrap_or(DEFAULT_FLEET_SEED);
     let (oracle, _) = fitted_oracle(doc, seed);
-    let member_sizes: Vec<Vec<f64>> = if pools.synth_members {
-        let generator = toto_telemetry::WorkloadGenerator::new(
-            SeedTree::new(seed).child("workload", 0).seed(),
-            toto_telemetry::WorkloadProfile::baseline(toto_telemetry::RegionProfile::region1()),
-        );
-        generator.pool_population(pools.pools as usize, pools.members as usize)
-    } else {
-        // The hard-coded study's ladder: member m of pool p holds 5+m GB.
-        (0..pools.pools)
-            .map(|_| (0..pools.members).map(|m| 5.0 + m as f64).collect())
-            .collect()
-    };
+    // Member m of every pool holds 5 + m GB.
+    let member_sizes: Vec<Vec<f64>> = (0..pools.pools)
+        .map(|_| (0..pools.members).map(|m| 5.0 + m as f64).collect())
+        .collect();
     Ok(CompiledPools {
         fleet_name: doc.name.clone(),
         seed,

@@ -9,6 +9,7 @@
 //! the document.
 
 use crate::error::ScenarioError;
+use toto::experiment::run_end;
 use toto_chaos::ChaosPlan;
 use toto_region::{PlacementPolicy, RegionSpec, RingSpec};
 use toto_spec::toml::{Entry, RawDoc, Table, Value};
@@ -23,18 +24,6 @@ pub enum ScenarioKind {
     Region,
     /// The elastic-pool bin-packing study.
     Pools,
-}
-
-/// How job seeds are produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SeedPolicy {
-    /// Derive every job seed from the scenario seed via the workspace
-    /// SplitMix64 scheme (the fleet default).
-    #[default]
-    Derived,
-    /// Keep the gen5 scenario's pinned component seeds (repeat studies
-    /// that vary nothing but the schedule).
-    Pinned,
 }
 
 /// The `[schedule]` table: which density jobs a fleet scenario runs.
@@ -136,9 +125,6 @@ pub struct PoolsConfig {
     pub per_db_vcores: u32,
     /// Fleet size for the reservation comparison.
     pub databases: u32,
-    /// Draw member sizes from the synthesized pool population instead of
-    /// the fixed `5 + m` GB ladder.
-    pub synth_members: bool,
 }
 
 /// A fully validated scenario document.
@@ -153,8 +139,6 @@ pub struct ScenarioDoc {
     pub seed: Option<u64>,
     /// Run length override, hours. `None` keeps the target's default.
     pub hours: Option<u64>,
-    /// Seed policy for fleet jobs.
-    pub seed_policy: SeedPolicy,
     /// Record structured traces per job.
     pub trace: bool,
     /// Fleet schedule (required when `kind` is `Fleet`).
@@ -174,7 +158,7 @@ pub struct ScenarioDoc {
 
 /// True iff `name` is a non-empty `[A-Za-z0-9_-]+` slug, safe to use as
 /// an artifact directory name.
-pub(crate) fn is_slug(name: &str) -> bool {
+fn is_slug(name: &str) -> bool {
     !name.is_empty()
         && name
             .bytes()
@@ -382,18 +366,12 @@ impl ScenarioDoc {
         };
         let seed = keys.take_uint("seed")?;
         let hours = keys.take_uint("hours")?;
-        if hours == Some(0) {
-            return Err(ScenarioError::invalid("[scenario] hours must be positive"));
-        }
-        let seed_policy = match keys.take_str("seed_policy")?.as_deref() {
-            None | Some("derived") => SeedPolicy::Derived,
-            Some("pinned") => SeedPolicy::Pinned,
-            Some(other) => {
-                return Err(ScenarioError::invalid(format!(
-                    "[scenario] seed_policy must be derived|pinned, got {other:?}"
-                )))
+        if let Some(hours) = hours {
+            if hours == 0 {
+                return Err(ScenarioError::invalid("[scenario] hours must be positive"));
             }
-        };
+            run_end(hours).map_err(|e| ScenarioError::invalid(format!("[scenario] hours: {e}")))?;
+        }
         let trace = keys.take_bool("trace")?.unwrap_or(false);
         keys.finish()?;
 
@@ -513,7 +491,6 @@ impl ScenarioDoc {
                 let pool_vcores = keys.take_uint("pool_vcores")?.unwrap_or(8);
                 let per_db_vcores = keys.take_uint("per_db_vcores")?.unwrap_or(2);
                 let databases = keys.take_uint("databases")?.unwrap_or(1000);
-                let synth_members = keys.take_bool("synth_members")?.unwrap_or(false);
                 keys.finish()?;
                 if pools == 0 || members == 0 || pool_vcores == 0 || per_db_vcores == 0 {
                     return Err(ScenarioError::invalid(
@@ -526,7 +503,6 @@ impl ScenarioDoc {
                     pool_vcores: pool_vcores as u32,
                     per_db_vcores: per_db_vcores as u32,
                     databases: databases as u32,
-                    synth_members,
                 })
             }
         };
@@ -536,7 +512,6 @@ impl ScenarioDoc {
             kind,
             seed,
             hours,
-            seed_policy,
             trace,
             schedule,
             chaos,
@@ -583,11 +558,6 @@ impl ScenarioDoc {
                     return Err(ScenarioError::invalid(
                         "[workload] drives the fleet population model; region runs use their \
                          region plan's directed schedule instead",
-                    ));
-                }
-                if self.seed_policy == SeedPolicy::Pinned {
-                    return Err(ScenarioError::invalid(
-                        "seed_policy = \"pinned\" only applies to fleet scenarios",
                     ));
                 }
             }
@@ -857,7 +827,6 @@ densities = [100, 110, 120, 140]
         assert_eq!(doc.kind, ScenarioKind::Fleet);
         assert_eq!(doc.seed, Some(42));
         assert_eq!(doc.hours, Some(144));
-        assert_eq!(doc.seed_policy, SeedPolicy::Derived);
         let schedule = doc.schedule.expect("schedule");
         assert_eq!(schedule.densities, vec![100, 110, 120, 140]);
         assert_eq!(doc.oracle, OracleConfig::default());
@@ -1038,13 +1007,10 @@ period_days = 90
 
     #[test]
     fn pools_scenario_parses_with_defaults() {
-        let doc = ScenarioDoc::parse(
-            "[scenario]\nname = \"pools\"\nkind = \"pools\"\n[pools]\nsynth_members = true\n",
-        )
-        .expect("parses");
+        let doc = ScenarioDoc::parse("[scenario]\nname = \"pools\"\nkind = \"pools\"\n[pools]\n")
+            .expect("parses");
         let pools = doc.pools.expect("pools");
         assert_eq!(pools.pools, 12);
         assert_eq!(pools.members, 20);
-        assert!(pools.synth_members);
     }
 }

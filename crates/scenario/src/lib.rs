@@ -7,7 +7,7 @@
 //! `toto-telemetry` synthesizers. This crate makes those configurations
 //! *data*: a scenario is a small TOML-subset file declaring the
 //! population mix, the density/node schedule, a chaos plan, workload
-//! shape overrides and a seed policy, compiled onto the existing types so
+//! shape overrides, compiled onto the existing types so
 //! a new workload study needs zero new Rust.
 //!
 //! The pipeline is strictly staged, every stage typed:
@@ -28,7 +28,7 @@
 //!    through `toto-fleet` and writes artifacts under `results/runs/`.
 //!
 //! [`cli`] is the `toto` command line, the one front end: `toto run`
-//! takes a built-in name, a scenario file or a `<Scenario>` XML spec.
+//! takes a built-in name or a scenario file.
 //!
 //! Determinism contract: byte-identical artifacts at any worker count,
 //! and `toto run density_sweep` reproduces the pinned §5.2 records under
@@ -47,8 +47,8 @@ pub use builtin::{builtin, NAMED_SCENARIOS};
 pub use compile::{compile, CompiledFleet, CompiledPools, CompiledRegion, CompiledScenario};
 pub use doc::{
     ChaosConfig, OracleConfig, PoolsConfig, RegionConfig, ScenarioDoc, ScenarioKind,
-    ScheduleConfig, SeedPolicy, WorkloadConfig,
+    ScheduleConfig, WorkloadConfig,
 };
 pub use error::{OracleFailure, ScenarioError};
 pub use oracle::{record_family, FamilyFit, KsOracle};
-pub use runner::{run, run_spec, RunOptions, RunSummary};
+pub use runner::{run, RunOptions, RunSummary};

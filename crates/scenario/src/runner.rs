@@ -7,31 +7,28 @@
 //! land under `results/runs/<name>/` — run records, manifest, optional
 //! trace/chaos sidecars — plus the scenario source
 //! (`<name>.scenario.toml`), the oracle verdicts (`oracle.json`), and
-//! per-KPI dispersion statistics (`sweep.json`). A paper-style
-//! `<Scenario>` XML spec runs as a one-job fleet through the same store
-//! path ([`run_spec`]). Everything is byte-deterministic at any worker
-//! count.
+//! per-KPI dispersion statistics (`sweep.json`). Everything is
+//! byte-deterministic at any worker count.
 
 use crate::compile::{compile, CompiledFleet, CompiledPools, CompiledRegion, CompiledScenario};
-use crate::doc::{is_slug, ScenarioDoc};
+use crate::doc::ScenarioDoc;
 use crate::error::ScenarioError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use toto::defaults::gen5_model_set;
-use toto::experiment::ExperimentOverrides;
 use toto::pools::{reservation_comparison, ElasticPool};
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::plb::{Plb, PlbConfig};
 use toto_fleet::{
-    kpis_to_json, FleetExecutor, FleetJob, FleetManifest, FleetObserver, FleetPlan, Json,
-    ManifestJob, RunRecord, RunStore, RUN_SCHEMA_VERSION,
+    kpis_to_json, FleetExecutor, FleetJob, FleetManifest, FleetObserver, Json, ManifestJob,
+    RunRecord, RunStore, RUN_SCHEMA_VERSION,
 };
 use toto_models::compiled::CompiledModelSet;
 use toto_region::{save_region_run, RegionRunner};
 use toto_simcore::rng::SeedTree;
 use toto_simcore::time::SimTime;
-use toto_spec::{EditionKind, ScenarioSpec};
+use toto_spec::EditionKind;
 use toto_stats::describe;
 
 /// How to execute a compiled scenario.
@@ -257,18 +254,20 @@ fn save_scenario_artifacts(
     Ok(())
 }
 
-/// Execute `jobs` and store the fleet: manifest, run records, and the
-/// trace and chaos sidecars of every job that produced them. Every fleet
-/// run, scenario file or XML spec, is written by this one function. The
-/// summary counts no oracle families; the caller adds its own.
-fn execute_fleet(
-    jobs: &[FleetJob],
-    fleet_name: &str,
-    root_seed: u64,
+/// Execute the fleet's jobs (plus any `--seeds` replicas) and store it:
+/// manifest, run records, the trace and chaos sidecars of every job that
+/// produced them, the scenario artifacts and `sweep.json`.
+fn run_fleet(
+    doc: &ScenarioDoc,
+    fleet: CompiledFleet,
+    source: &str,
     options: &RunOptions,
     observer: &dyn FleetObserver,
-) -> Result<(RunSummary, Vec<RunRecord>), ScenarioError> {
-    let report = FleetExecutor::new(options.threads).run(jobs, observer);
+) -> Result<RunSummary, ScenarioError> {
+    let seeds = options.seeds.max(1);
+    let jobs = fleet_replica_jobs(doc, &fleet, seeds)?;
+    let fleet_name = fleet.fleet_name.as_str();
+    let report = FleetExecutor::new(options.threads).run(&jobs, observer);
     let records: Vec<RunRecord> = report
         .completed()
         .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
@@ -276,7 +275,7 @@ fn execute_fleet(
     let manifest = FleetManifest {
         schema_version: RUN_SCHEMA_VERSION,
         fleet: fleet_name.to_string(),
-        root_seed,
+        root_seed: fleet.root_seed,
         threads: report.threads as u64,
         wall_secs: report.wall_secs,
         jobs: report
@@ -306,7 +305,18 @@ fn execute_fleet(
                 .map_err(io_err(format!("{}.chaos.json", job.label)))?;
         }
     }
-    let summary = RunSummary {
+    save_scenario_artifacts(&store, fleet_name, source, &fleet.oracle.to_json())?;
+    // Always written, even at --seeds 1: the single-sample verdict in the
+    // stats says "spread unknown" explicitly instead of the file silently
+    // not existing (or, worse, reporting a zero CI).
+    store
+        .save_artifact(
+            fleet_name,
+            "sweep.json",
+            sweep_json(&records, seeds).render().as_bytes(),
+        )
+        .map_err(io_err("sweep.json"))?;
+    Ok(RunSummary {
         dir,
         fleet_name: fleet_name.to_string(),
         completed: records.len(),
@@ -316,76 +326,8 @@ fn execute_fleet(
             .filter_map(|(_, out)| out.result.chaos.as_ref())
             .map(|c| c.oracle_violations)
             .sum(),
-        oracle_families: 0,
-    };
-    Ok((summary, records))
-}
-
-fn run_fleet(
-    doc: &ScenarioDoc,
-    fleet: CompiledFleet,
-    source: &str,
-    options: &RunOptions,
-    observer: &dyn FleetObserver,
-) -> Result<RunSummary, ScenarioError> {
-    let jobs = fleet_replica_jobs(doc, &fleet, options.seeds.max(1))?;
-    let (summary, records) =
-        execute_fleet(&jobs, &fleet.fleet_name, fleet.root_seed, options, observer)?;
-    let store = RunStore::new(&options.out);
-    save_scenario_artifacts(&store, &fleet.fleet_name, source, &fleet.oracle.to_json())?;
-    // Always written, even at --seeds 1: the single-sample verdict in the
-    // stats says "spread unknown" explicitly instead of the file silently
-    // not existing (or, worse, reporting a zero CI).
-    store
-        .save_artifact(
-            &fleet.fleet_name,
-            "sweep.json",
-            sweep_json(&records, options.seeds.max(1))
-                .render()
-                .as_bytes(),
-        )
-        .map_err(io_err("sweep.json"))?;
-    Ok(RunSummary {
         oracle_families: fleet.oracle.families().len(),
-        ..summary
     })
-}
-
-/// Compile a paper-style `<Scenario>` XML spec into a single pinned
-/// fleet job: the spec's own component seeds are kept (that is what an
-/// XML spec *is*), and the job is labelled with the spec's name.
-fn xml_spec_plan(spec: ScenarioSpec, root_seed: u64) -> FleetPlan {
-    let mut plan = FleetPlan::new(root_seed);
-    plan.add_pinned(spec.name.clone(), spec, ExperimentOverrides::default());
-    plan
-}
-
-/// Run a `<Scenario>` XML spec as a one-job pinned fleet
-/// ([`xml_spec_plan`]) through the same executor-and-store path as a
-/// scenario file. Artifacts land under `<out>/runs/<spec name>/`.
-pub fn run_spec(
-    spec: ScenarioSpec,
-    trace: bool,
-    options: &RunOptions,
-    observer: &dyn FleetObserver,
-) -> Result<RunSummary, ScenarioError> {
-    if options.seeds > 1 {
-        return Err(ScenarioError::invalid(
-            "--seeds sweeps apply to scenario files; an XML spec pins its own seeds",
-        ));
-    }
-    let fleet_name = spec.name.clone();
-    if !is_slug(&fleet_name) {
-        return Err(ScenarioError::invalid(format!(
-            "<Scenario> name {fleet_name:?} must be a non-empty [A-Za-z0-9_-]+ slug \
-             (it becomes the artifact directory)"
-        )));
-    }
-    let mut plan = xml_spec_plan(spec, 0);
-    if trace {
-        plan.trace_all();
-    }
-    execute_fleet(plan.jobs(), &fleet_name, 0, options, observer).map(|(summary, _)| summary)
 }
 
 fn run_region(
@@ -552,16 +494,6 @@ mod tests {
         assert_eq!(base_label("s1-density-110"), "density-110");
         assert_eq!(base_label("s12-job003-density-140"), "job003-density-140");
         assert_eq!(base_label("storm-density-110"), "storm-density-110");
-    }
-
-    #[test]
-    fn xml_spec_plan_pins_the_spec_seeds() {
-        let mut spec = ScenarioSpec::gen5_stage_cluster(110);
-        spec.plb_seed = 777;
-        let plan = xml_spec_plan(spec, 42);
-        assert_eq!(plan.jobs().len(), 1);
-        assert_eq!(plan.jobs()[0].scenario.plb_seed, 777);
-        assert_eq!(plan.jobs()[0].label, "gen5-stage-density-110");
     }
 
     #[test]

@@ -248,11 +248,6 @@ impl<S> Simulation<S> {
         &self.state
     }
 
-    /// Mutable access to the simulation state.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
-    }
-
     /// Access to the scheduler for seeding the initial events.
     pub fn scheduler(&mut self) -> &mut Scheduler<S> {
         &mut self.scheduler

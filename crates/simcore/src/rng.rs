@@ -171,12 +171,6 @@ impl DetRng {
         }
     }
 
-    /// Pick a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "choose from empty slice");
-        &xs[self.next_below(xs.len() as u64) as usize]
-    }
-
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)

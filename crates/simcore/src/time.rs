@@ -190,12 +190,6 @@ impl SimDuration {
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Multiply by an integer factor, saturating at the maximum.
-    #[inline]
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -5,7 +5,7 @@
 //! experiment duration (6 days), the bootstrap population (Table 2), the
 //! target bootstrap disk utilization (Table 3's 77 %), and every seed.
 
-use crate::xml::{ParseError, XmlElement};
+use crate::xml::XmlElement;
 
 /// A complete, declarative benchmark scenario.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,7 +106,7 @@ impl ScenarioSpec {
         self.disk_capacity_per_node() * self.node_count as f64
     }
 
-    /// Serialise to XML.
+    /// Serialise to XML (every run record embeds it as `scenario_xml`).
     pub fn to_xml_string(&self) -> String {
         XmlElement::new("Scenario")
             .attr("name", &self.name)
@@ -128,43 +128,6 @@ impl ScenarioSpec {
             .attr("reportPeriodSecs", self.report_period_secs)
             .attr("modelRefreshSecs", self.model_refresh_secs)
             .to_xml_string()
-    }
-
-    /// Parse from XML.
-    pub fn from_xml_str(s: &str) -> Result<Self, ParseError> {
-        let el = XmlElement::parse(s)?;
-        if el.name != "Scenario" {
-            return Err(ParseError {
-                offset: 0,
-                message: format!("expected <Scenario>, found <{}>", el.name),
-            });
-        }
-        Ok(ScenarioSpec {
-            name: el
-                .get_attr("name")
-                .ok_or_else(|| ParseError {
-                    offset: 0,
-                    message: "Scenario missing name".into(),
-                })?
-                .to_string(),
-            node_count: el.parse_attr("nodeCount")?,
-            fault_domains: el.parse_attr("faultDomains")?,
-            cores_per_node: el.parse_attr("coresPerNode")?,
-            disk_per_node_gb: el.parse_attr("diskPerNodeGb")?,
-            memory_per_node_gb: el.parse_attr("memoryPerNodeGb")?,
-            base_cpu_logical_fraction: el.parse_attr("baseCpuLogicalFraction")?,
-            base_disk_logical_fraction: el.parse_attr("baseDiskLogicalFraction")?,
-            density_percent: el.parse_attr("densityPercent")?,
-            duration_hours: el.parse_attr("durationHours")?,
-            bootstrap_standard_gp: el.parse_attr("bootstrapStandardGp")?,
-            bootstrap_premium_bc: el.parse_attr("bootstrapPremiumBc")?,
-            bootstrap_disk_fill: el.parse_attr("bootstrapDiskFill")?,
-            population_seed: el.parse_attr("populationSeed")?,
-            model_seed: el.parse_attr("modelSeed")?,
-            plb_seed: el.parse_attr("plbSeed")?,
-            report_period_secs: el.parse_attr("reportPeriodSecs")?,
-            model_refresh_secs: el.parse_attr("modelRefreshSecs")?,
-        })
     }
 }
 
@@ -193,13 +156,6 @@ mod tests {
             dense.disk_capacity_per_node(),
             base.disk_capacity_per_node()
         );
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let s = ScenarioSpec::gen5_stage_cluster(120);
-        let back = ScenarioSpec::from_xml_str(&s.to_xml_string()).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub fn std_normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal probability density function.
-pub fn std_normal_pdf(z: f64) -> f64 {
-    (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Inverse of the standard normal CDF (the probit function), via Peter
 /// Acklam's rational approximation refined with one Halley step.
 ///

@@ -562,25 +562,6 @@ impl WorkloadGenerator {
             deltas,
         }
     }
-
-    /// Initial member disk sizes for an elastic-pool bin-packing
-    /// population: `pools` pools of `members` databases each, sizes drawn
-    /// from a right-skewed distribution per pool (extends the fixed
-    /// `5 + m` GB ladder the pool study hard-codes).
-    pub fn pool_population(&self, pools: usize, members: usize) -> Vec<Vec<f64>> {
-        (0..pools)
-            .map(|p| {
-                let mut rng = self.seeds.child("wl-pool", p as u64).rng();
-                (0..members)
-                    .map(|_| {
-                        let u: f64 = rng.next_f64().max(1e-9);
-                        // Exponential sizes: many small members, a fat tail.
-                        (-u.ln() * 8.0 + 2.0).min(250.0)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -809,26 +790,5 @@ mod tests {
         // Season off ⇒ multiplier pinned at 1.
         let flat = workload().season_multiplier(SimTime::from_secs(86_400));
         assert!((flat - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pool_population_is_right_skewed_and_deterministic() {
-        let g = workload();
-        let pools = g.pool_population(12, 20);
-        assert_eq!(pools.len(), 12);
-        assert!(pools.iter().all(|p| p.len() == 20));
-        let all: Vec<f64> = pools.iter().flatten().copied().collect();
-        assert!(all.iter().all(|gb| (0.0..=250.0).contains(gb)));
-        let mean = describe::mean(&all);
-        let median = {
-            let mut s = all.clone();
-            s.sort_by(|a, b| a.total_cmp(b));
-            s[s.len() / 2]
-        };
-        assert!(
-            mean > median,
-            "right-skewed sizes: mean {mean} median {median}"
-        );
-        assert_eq!(pools, g.pool_population(12, 20));
     }
 }

@@ -1,6 +1,8 @@
 //! The `toto` command line rejects bad input with exit code 2 and never
 //! panics; a run that fails its K-S oracle gate exits 1. The table
 //! drives `toto_scenario::cli::main`, the function the binary calls.
+//! Every case that could start a run writes under the temporary `--out`,
+//! which must stay empty.
 
 use std::fs;
 use std::panic::catch_unwind;
@@ -17,7 +19,7 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
     };
     let region = "[scenario]\nname = \"r\"\nkind = \"region\"\n[region]\n";
     let malformed_toml = file("malformed.toml", "[scenario]\nname = @\n");
-    let malformed_xml = file("malformed.xml", "<Scenario name=\"x\"");
+    let xml = file("spec.xml", "<Scenario name=\"x\"/>");
     let unknown_policy = file(
         "policy.toml",
         &format!(
@@ -31,6 +33,11 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
         "[scenario]\nname = \"misfit\"\nkind = \"fleet\"\nhours = 1\n\
          [schedule]\ndensities = [110]\n\
          [oracle]\nalpha = 0.99\nmin_acceptance = 1.0\n",
+    );
+    let huge_hours = file(
+        "huge-hours.toml",
+        "[scenario]\nname = \"huge\"\nkind = \"fleet\"\nhours = 1e18\n\
+         [schedule]\ndensities = [100]\n",
     );
     let out = dir.join("out").display().to_string();
     let missing = dir.join("missing.toml").display().to_string();
@@ -57,10 +64,27 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
         ("unknown builtin", vec!["run", "no_such_builtin"], 2),
         ("missing file", vec!["run", &missing], 2),
         ("malformed TOML", vec!["run", &malformed_toml], 2),
-        ("malformed XML", vec!["run", &malformed_xml], 2),
+        ("an XML file is not a scenario", vec!["run", &xml], 2),
         ("unknown region policy", vec!["run", &unknown_policy], 2),
         ("region without rings", vec!["run", &no_rings], 2),
-        ("bad emit density", vec!["emit", "x"], 2),
+        ("emit is not a command", vec!["emit", "100"], 2),
+        (
+            "--hours past the clock",
+            vec![
+                "run",
+                "density_sweep",
+                "--hours",
+                "18446744073709551615",
+                "--out",
+                &out,
+            ],
+            2,
+        ),
+        (
+            "[scenario] hours past the clock",
+            vec!["run", &huge_hours, "--out", &out],
+            2,
+        ),
         ("oracle gate fails", vec!["run", &misfit, "--out", &out], 1),
     ];
     for (what, argv, expected) in cases {
@@ -69,7 +93,10 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
             .unwrap_or_else(|_| panic!("{what}: toto panicked"));
         assert_eq!(code, expected, "{what}: exit code");
     }
-    assert!(!dir.join("out").exists(), "a gated run writes nothing");
+    assert!(
+        !dir.join("out").exists(),
+        "a rejected or gated run writes nothing"
+    );
 
     let _ = fs::remove_dir_all(&dir);
 }
