@@ -1,7 +1,6 @@
 //! Ablation: PLB annealing vs pure greedy placement (§5.2 cites SF's use
 //! of simulated annealing "to prevent getting stuck in locally optimal
-//! solutions"), plus the model-refresh-period sensitivity (§3.3.1's
-//! 15-minute re-read).
+//! solutions").
 
 use toto::experiment::ExperimentOverrides;
 use toto_bench::BenchArgs;
@@ -9,12 +8,9 @@ use toto_fabric::plb::PlbConfig;
 use toto_fleet::{FleetPlan, StderrProgress};
 use toto_spec::ScenarioSpec;
 
-fn add(plan: &mut FleetPlan, label: &str, plb: PlbConfig, refresh_secs: Option<u64>, hours: u64) {
+fn add(plan: &mut FleetPlan, label: &str, plb: PlbConfig, hours: u64) {
     let mut scenario = ScenarioSpec::gen5_stage_cluster(120);
     scenario.duration_hours = hours;
-    if let Some(secs) = refresh_secs {
-        scenario.model_refresh_secs = secs;
-    }
     let overrides = ExperimentOverrides {
         plb: Some(plb),
         ..ExperimentOverrides::default()
@@ -26,14 +22,11 @@ fn main() {
     let args = BenchArgs::parse();
     let hours = args.hours_or(144);
     println!("ablation: PLB search strategy at 120% density, {hours}h\n");
-    // All six variants are one fleet; the first three are the search
-    // ablation, the last three the refresh-period sensitivity.
     let mut plan = FleetPlan::new(120);
     add(
         &mut plan,
         "annealing (default)",
         PlbConfig::default(),
-        None,
         hours,
     );
     add(
@@ -43,7 +36,6 @@ fn main() {
             anneal_iterations: 0,
             ..PlbConfig::default()
         },
-        None,
         hours,
     );
     add(
@@ -53,24 +45,11 @@ fn main() {
             initial_temperature: 1.0,
             ..PlbConfig::default()
         },
-        None,
         hours,
     );
-    for secs in [300u64, 900, 3600] {
-        add(
-            &mut plan,
-            &format!("refresh every {}m", secs / 60),
-            PlbConfig::default(),
-            Some(secs),
-            hours,
-        );
-    }
 
     let report = args.executor().run(plan.jobs(), &StderrProgress);
-    for (i, job) in report.jobs.iter().enumerate() {
-        if i == 3 {
-            println!("\nmodel refresh period sensitivity (same PLB):\n");
-        }
+    for job in &report.jobs {
         let r = &job
             .outcome
             .output()

@@ -167,25 +167,11 @@ pub struct ExperimentState {
     report_period: SimDuration,
     /// Fault-injection state; `None` whenever the chaos plan is empty.
     chaos: Option<ChaosRuntime>,
-    /// Scratch for `report_metrics`' per-replica snapshot, reused every
-    /// report period so the hottest periodic event allocates nothing in
-    /// steady state.
-    report_rows: Vec<ReplicaRow>,
+    /// Scratch for `report_metrics`' batch of `(replica, metric, value)`
+    /// reports, reused every report period so the hottest periodic event
+    /// allocates nothing in steady state.
+    report_batch: Vec<(ReplicaId, MetricId, f64)>,
 }
-
-/// One row of `report_metrics`' pre-collected snapshot: (id, service,
-/// node, role, edition, created_at, disk_load, mem_load). Collected
-/// before reporting because reporting mutates the cluster.
-type ReplicaRow = (
-    ReplicaId,
-    u64,
-    u32,
-    ReplicaRole,
-    EditionKind,
-    SimTime,
-    f64,
-    f64,
-);
 
 /// Everything an experiment run produces.
 #[derive(Clone, Debug)]
@@ -307,7 +293,7 @@ impl DensityExperiment {
             if edition.disk_is_persisted() {
                 naming.write(
                     &persisted_state_key(ResourceKind::Disk, identity),
-                    format!("{initial_disk:?}"),
+                    *initial_disk,
                 );
             }
             let slo = catalog.get(*slo_index).expect("bootstrap SLO");
@@ -380,7 +366,7 @@ impl DensityExperiment {
             start,
             end,
             chaos,
-            report_rows: Vec::new(),
+            report_batch: Vec::new(),
         };
 
         let mut sim = Simulation::new(state);
@@ -545,54 +531,45 @@ fn edition_of(tag: u64) -> EditionKind {
 
 /// Every report period each replica consults its node's RgManager for the
 /// disk and memory metrics and reports the modeled loads to the PLB.
+///
+/// The values are computed first and committed to the cluster as one
+/// batch ([`Cluster::report_loads`]), so each touched node's cost and
+/// index entries refresh once per period, not once per report. Nothing
+/// in the loop reads what the commit changes: the RgManager sees only
+/// the Naming Service, report loss draws only the chaos RNG, and each
+/// replica reports each metric once per period, so deferring the commit
+/// changes no value read here.
 fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     let now = sched.now();
-    // Take/put-back: the rows are collected up front (reporting mutates
-    // the cluster) into a buffer reused across report periods. A
-    // service's replicas have consecutive ids and replicas iterate in id
-    // order, so the service lookup is cached across the run of rows that
-    // share it — one map probe per service instead of per replica.
-    let mut rows = std::mem::take(&mut state.report_rows);
-    rows.clear();
-    let mut last_service: Option<(toto_fabric::ids::ServiceId, EditionKind, SimTime)> = None;
+    let mut batch = std::mem::take(&mut state.report_batch);
+    batch.clear();
+    // A service's replicas have consecutive ids and replicas iterate in
+    // id order, so the service and identity lookups are cached across
+    // the run of replicas that share them — one probe of each map per
+    // service instead of per replica.
+    let mut last_service: Option<(toto_fabric::ids::ServiceId, EditionKind, SimTime, u64)> = None;
     for r in state.cluster.replicas() {
-        let (edition, created_at) = match last_service {
-            Some((sid, edition, created_at)) if sid == r.service => (edition, created_at),
+        let service = r.service.raw();
+        let (edition, created_at, identity) = match last_service {
+            Some((sid, edition, created_at, identity)) if sid == r.service => {
+                (edition, created_at, identity)
+            }
             _ => {
                 let svc = state.cluster.service(r.service).expect("replica's service");
-                let cached = (edition_of(svc.tag), svc.created_at);
-                last_service = Some((r.service, cached.0, cached.1));
+                let identity = state.identities.get(&service).copied().unwrap_or(service);
+                let cached = (edition_of(svc.tag), svc.created_at, identity);
+                last_service = Some((r.service, cached.0, cached.1, cached.2));
                 cached
             }
         };
-        rows.push((
-            r.id,
-            r.service.raw(),
-            r.node.raw(),
-            r.role,
-            edition,
-            created_at,
-            r.load[state.disk],
-            r.load[state.memory],
-        ));
-    }
-    let mut last_identity: Option<(u64, u64)> = None;
-    for &(rid, service, node, role, edition, created_at, disk_load, mem_load) in &rows {
-        let identity = match last_identity {
-            Some((s, identity)) if s == service => identity,
-            _ => {
-                let identity = state.identities.get(&service).copied().unwrap_or(service);
-                last_identity = Some((service, identity));
-                identity
-            }
-        };
-        let role_kind = match role {
+        let node = r.node.raw();
+        let role_kind = match r.role {
             ReplicaRole::Primary => ReplicaRoleKind::Primary,
             ReplicaRole::Secondary => ReplicaRoleKind::Secondary,
         };
-        for (resource, metric, actual) in [
-            (ResourceKind::Disk, state.disk, disk_load),
-            (ResourceKind::Memory, state.memory, mem_load),
+        for (resource, metric) in [
+            (ResourceKind::Disk, state.disk),
+            (ResourceKind::Memory, state.memory),
         ] {
             // Chaos report loss: during a lossy window the report never
             // reaches the RgManager, so the PLB keeps acting on the stale
@@ -604,7 +581,7 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
                         toto_trace::emit(toto_trace::EventKind::ChaosReportDropped, || {
                             toto_trace::EventBody::ChaosReportDropped {
                                 service,
-                                replica: rid.raw(),
+                                replica: r.id.raw(),
                                 node: u64::from(node),
                                 resource: resource.to_string(),
                             }
@@ -614,18 +591,18 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
                 }
             }
             let req = ReportRequest {
-                replica: rid.raw(),
+                replica: r.id.raw(),
                 service: identity,
                 role: role_kind,
                 edition,
                 resource,
                 created_at,
                 now,
-                actual_load: actual,
+                actual_load: r.load[metric],
             };
             let value = state.rgmanagers[node as usize].compute_report(&mut state.naming, &req);
-            state.cluster.report_load(rid, metric, value);
-            if resource == ResourceKind::Disk && role == ReplicaRole::Primary {
+            batch.push((r.id, metric, value));
+            if resource == ResourceKind::Disk && r.role == ReplicaRole::Primary {
                 if let Some(b) = state.billing.get_mut(&service) {
                     b.disk_sum += value;
                     b.disk_samples += 1;
@@ -633,7 +610,8 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
             }
         }
     }
-    state.report_rows = rows;
+    state.cluster.report_loads(&batch);
+    state.report_batch = batch;
     let next = now + state.report_period;
     if next <= state.end {
         sched.schedule_at(next, report_metrics);
@@ -882,7 +860,7 @@ fn admit_request(
             if edition.disk_is_persisted() {
                 state.naming.write(
                     &persisted_state_key(ResourceKind::Disk, identity),
-                    format!("{:?}", req.initial_disk_gb),
+                    req.initial_disk_gb,
                 );
             }
             state.billing.insert(

@@ -149,11 +149,14 @@ pub struct Cluster {
     next_service: u64,
     next_replica: u64,
     /// Cached [`MetricRegistry::cost_of`] of each node's aggregate load,
-    /// indexed by raw node id. Refreshed by every load-mutating method, so
-    /// reads are O(1) and always bit-identical to a from-scratch recompute
-    /// (verified by [`Cluster::invariants_ok`]). This is the PLB's
-    /// hot-path base cost: placement evaluates it once per candidate node
-    /// per decision instead of once per comparator call.
+    /// indexed by raw node id. Every load-mutating method refreshes the
+    /// nodes it touched before it returns — [`Cluster::report_loads`]
+    /// once per touched node for a whole batch — so at every public
+    /// method boundary reads are O(1) and bit-identical to a
+    /// from-scratch recompute (verified by [`Cluster::invariants_ok`]).
+    /// This is the PLB's hot-path base cost: placement evaluates it once
+    /// per candidate node per decision instead of once per comparator
+    /// call.
     node_costs: Vec<f64>,
     /// Violating `(node, metric)` pairs, maintained incrementally by
     /// [`Cluster::refresh_node_cost`] — the same refresh-on-mutate hook
@@ -179,6 +182,12 @@ pub struct Cluster {
     /// constraints (sibling-domain avoidance) prune whole partitions
     /// before any candidate is costed.
     domain_cost_index: Vec<BTreeSet<(u64, NodeId)>>,
+    /// Scratch for [`Cluster::report_loads`]: the batch's touched nodes
+    /// in first-touch order, and a per-node mark (indexed by raw node
+    /// id) that keeps each node in the list once. Empty and all-false
+    /// between calls.
+    touched: Vec<NodeId>,
+    touched_mark: Vec<bool>,
 }
 
 impl Cluster {
@@ -228,6 +237,8 @@ impl Cluster {
             violation_bits: vec![0; config.node_count as usize],
             cost_index,
             domain_cost_index,
+            touched: Vec::new(),
+            touched_mark: vec![false; config.node_count as usize],
         }
     }
 
@@ -432,6 +443,47 @@ impl Cluster {
     /// Update one metric of one replica's reported load; node aggregates
     /// follow. Returns the previous value. Panics on unknown replica.
     pub fn report_load(&mut self, replica: ReplicaId, metric: MetricId, value: f64) -> f64 {
+        let (prev, node) = self.apply_report(replica, metric, value);
+        self.refresh_node_cost(node);
+        prev
+    }
+
+    /// A report period's loads in one call: each `(replica, metric,
+    /// value)` is applied in order with exactly [`Cluster::report_load`]'s
+    /// arithmetic, then each touched node's cost, index entries and
+    /// violation bits are refreshed once. The result is bit-identical to
+    /// calling `report_load` on each report in turn: every derived
+    /// structure is a function of the final node loads. Panics on an
+    /// unknown replica.
+    pub fn report_loads(&mut self, reports: &[(ReplicaId, MetricId, f64)]) {
+        for &(replica, metric, value) in reports {
+            let (_, node) = self.apply_report(replica, metric, value);
+            let mark = &mut self.touched_mark[node.0 as usize];
+            if !*mark {
+                *mark = true;
+                self.touched.push(node);
+            }
+        }
+        let mut touched = std::mem::take(&mut self.touched);
+        for &node in &touched {
+            self.touched_mark[node.0 as usize] = false;
+            self.refresh_node_cost(node);
+        }
+        debug_assert!(
+            touched.iter().all(|n| {
+                let i = n.0 as usize;
+                self.node_costs[i].to_bits() == self.metrics.cost_of(&self.nodes[i].load).to_bits()
+            }),
+            "report_loads left a touched node's cost stale"
+        );
+        touched.clear();
+        self.touched = touched;
+    }
+
+    /// The arithmetic of one report, without the refresh: set the
+    /// replica's load and move its node's aggregate by the difference,
+    /// clamped at zero. Returns the previous value and the node.
+    fn apply_report(&mut self, replica: ReplicaId, metric: MetricId, value: f64) -> (f64, NodeId) {
         let rep = self
             .replica_mut(replica)
             .unwrap_or_else(|| panic!("report_load: unknown replica {replica}"));
@@ -440,8 +492,7 @@ impl Cluster {
         let node_id = rep.node;
         let node = &mut self.nodes[node_id.0 as usize];
         node.load[metric] = (node.load[metric] - prev + value).max(0.0);
-        self.refresh_node_cost(node_id);
-        prev
+        (prev, node_id)
     }
 
     /// Move a replica to another node, carrying its reported load.

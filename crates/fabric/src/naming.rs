@@ -9,14 +9,63 @@
 //! promoted primary reports the same disk usage as the old one.
 //!
 //! The simulation keeps it as a versioned key-value store with operation
-//! counters (so benches can report naming-service traffic).
+//! counters (so benches can report naming-service traffic). Keys are
+//! text; values are text (the model XML) or numbers (persisted metric
+//! state), so the per-report read-modify-write neither parses nor
+//! formats.
 
 use std::collections::BTreeMap;
+
+/// A stored value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// Text, such as the serialized model XML.
+    Text(String),
+    /// A number, such as a persisted metric's last reported value.
+    Num(f64),
+}
+
+impl Value {
+    /// The text of a [`Value::Text`]; `None` for a number.
+    pub fn as_text(&self) -> Option<&str> {
+        match self {
+            Value::Text(s) => Some(s),
+            Value::Num(_) => None,
+        }
+    }
+
+    /// The numeric view: a number as stored, or text parsed as `f64`
+    /// (`None` when it does not parse).
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Value::Text(s) => s.parse().ok(),
+            Value::Num(n) => Some(*n),
+        }
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Text(s)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Text(s.to_string())
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Num(n)
+    }
+}
 
 /// A value plus the version at which it was last written.
 #[derive(Clone, Debug, PartialEq)]
 struct Entry {
-    value: String,
+    value: Value,
     version: u64,
 }
 
@@ -48,50 +97,65 @@ impl NamingService {
     /// Write (or overwrite) a key. Returns the new version.
     ///
     /// Overwrites update the entry in place, reusing the stored key
-    /// allocation — persisted-metric state is rewritten every report
-    /// period, so the overwrite path is far hotter than first insert.
-    pub fn write(&mut self, key: &str, value: impl Into<String>) -> u64 {
+    /// allocation.
+    pub fn write(&mut self, key: &str, value: impl Into<Value>) -> u64 {
         let version = self.bump_write();
+        let value = value.into();
         match self.entries.get_mut(key) {
             Some(e) => {
-                e.value = value.into();
+                e.value = value;
                 e.version = version;
             }
             None => {
-                self.entries.insert(
-                    key.to_string(),
-                    Entry {
-                        value: value.into(),
-                        version,
-                    },
-                );
-            }
-        }
-        self.emit_write(key, version);
-        version
-    }
-
-    /// Write (or overwrite) a key by formatting straight into the stored
-    /// buffer. On overwrite neither the key nor the value allocates: the
-    /// existing value `String` is cleared and refilled. Counts, versions,
-    /// and trace events are identical to [`NamingService::write`].
-    pub fn write_with(&mut self, key: &str, fill: impl FnOnce(&mut String)) -> u64 {
-        let version = self.bump_write();
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                e.value.clear();
-                fill(&mut e.value);
-                e.version = version;
-            }
-            None => {
-                let mut value = String::new();
-                fill(&mut value);
                 self.entries
                     .insert(key.to_string(), Entry { value, version });
             }
         }
         self.emit_write(key, version);
         version
+    }
+
+    /// Read-modify-write a numeric value with one map probe: the hot
+    /// path of every persisted-metric report. `next` receives the
+    /// stored value's numeric view ([`Value::as_num`]; `None` when the
+    /// key is absent) and returns the new value, which is returned.
+    /// Counts one read. With `write` set the new value is also stored
+    /// as a [`Value::Num`], and the version, write count and
+    /// `NamingWrite` event are exactly those of [`NamingService::write`];
+    /// without it the store is untouched.
+    pub fn update_num(
+        &mut self,
+        key: &str,
+        write: bool,
+        next: impl FnOnce(Option<f64>) -> f64,
+    ) -> f64 {
+        self.stats.reads += 1;
+        let version = write.then(|| self.bump_write());
+        let entry = self.entries.get_mut(key);
+        let value = next(entry.as_ref().and_then(|e| e.value.as_num()));
+        if let Some(version) = version {
+            match entry {
+                Some(e) => {
+                    e.value = Value::Num(value);
+                    e.version = version;
+                }
+                None => {
+                    self.entries.insert(
+                        key.to_string(),
+                        Entry {
+                            value: Value::Num(value),
+                            version,
+                        },
+                    );
+                }
+            }
+            debug_assert!(
+                self.entries.get(key).map(|e| e.version) == Some(version),
+                "update_num did not store version {version} under {key}"
+            );
+            self.emit_write(key, version);
+        }
+        value
     }
 
     fn bump_write(&mut self) -> u64 {
@@ -109,13 +173,10 @@ impl NamingService {
         });
     }
 
-    /// Read a key's value without cloning it. Counts as a read — the
-    /// RgManager report path calls this once per persisted-metric report,
-    /// which at density 140 is tens of thousands of reads per simulated
-    /// hour.
-    pub fn get(&mut self, key: &str) -> Option<&str> {
+    /// Read a key's value without cloning it. Counts as a read.
+    pub fn get(&mut self, key: &str) -> Option<&Value> {
         self.stats.reads += 1;
-        self.entries.get(key).map(|e| e.value.as_str())
+        self.entries.get(key).map(|e| &e.value)
     }
 
     /// Read a key's value together with its version, for callers that
@@ -124,9 +185,9 @@ impl NamingService {
     /// kilobytes and every node's RgManager re-reads it every simulated
     /// 15 minutes, so the refresh path must not clone it just to discover
     /// the version is unchanged.
-    pub fn get_versioned(&mut self, key: &str) -> Option<(&str, u64)> {
+    pub fn get_versioned(&mut self, key: &str) -> Option<(&Value, u64)> {
         self.stats.reads += 1;
-        self.entries.get(key).map(|e| (e.value.as_str(), e.version))
+        self.entries.get(key).map(|e| (&e.value, e.version))
     }
 
     /// Delete a key. Returns true if it existed.
@@ -188,7 +249,10 @@ mod tests {
     fn write_read_roundtrip() {
         let mut ns = NamingService::new();
         ns.write("toto/models", "<xml/>");
-        assert_eq!(ns.get("toto/models"), Some("<xml/>"));
+        assert_eq!(
+            ns.get("toto/models").and_then(Value::as_text),
+            Some("<xml/>")
+        );
         assert_eq!(ns.get("missing"), None);
         assert_eq!(ns.len(), 1);
     }
@@ -200,7 +264,7 @@ mod tests {
         let v2 = ns.write("k", "b");
         assert!(v2 > v1);
         let (val, ver) = ns.get_versioned("k").unwrap();
-        assert_eq!(val, "b");
+        assert_eq!(val, &Value::Text("b".into()));
         assert_eq!(ver, v2);
     }
 
@@ -231,5 +295,28 @@ mod tests {
             vec!["toto/state/rep-1", "toto/state/rep-2"]
         );
         assert_eq!(ns.keys_with_prefix("zzz").count(), 0);
+    }
+
+    #[test]
+    fn update_num_reads_once_and_writes_only_when_asked() {
+        let mut ns = NamingService::new();
+        // Text written elsewhere parses on the numeric path.
+        let v1 = ns.write("k", "1.5");
+        let secondary = ns.update_num("k", false, |prev| prev.unwrap_or(0.0) + 1.0);
+        assert_eq!(secondary, 2.5);
+        assert_eq!(ns.get("k"), Some(&Value::Text("1.5".into())));
+        let primary = ns.update_num("k", true, |prev| prev.unwrap_or(0.0) + 1.0);
+        assert_eq!(primary, 2.5);
+        let (val, v2) = ns.get_versioned("k").unwrap();
+        assert_eq!(val, &Value::Num(2.5));
+        assert_eq!(v2, v1 + 1);
+        // An absent key sees `None` and is inserted only on a write.
+        assert_eq!(ns.update_num("new", false, |prev| prev.unwrap_or(7.0)), 7.0);
+        assert!(!ns.contains_key("new"));
+        assert_eq!(ns.update_num("new", true, |prev| prev.unwrap_or(7.0)), 7.0);
+        assert_eq!(ns.get("new").and_then(Value::as_num), Some(7.0));
+        let st = ns.stats();
+        assert_eq!(st.writes, 3);
+        assert_eq!(st.reads, 7);
     }
 }

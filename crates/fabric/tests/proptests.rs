@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
-use toto_fabric::ids::{MetricId, ServiceId};
+use toto_fabric::ids::{MetricId, NodeId, ReplicaId, ServiceId};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::plb::{Plb, PlbConfig};
 use toto_simcore::time::SimTime;
@@ -121,6 +121,47 @@ fn build_cluster() -> (Cluster, MetricId, MetricId) {
         }),
         cpu,
         disk,
+    )
+}
+
+/// Everything `report_loads` must leave exactly as sequential
+/// `report_load` calls do: node load bits, cached cost bits, the
+/// violation list, and the global and per-domain candidate orders.
+#[allow(clippy::type_complexity)]
+fn derived_state(
+    cluster: &Cluster,
+) -> (
+    Vec<Vec<u64>>,
+    Vec<u64>,
+    Vec<(NodeId, MetricId)>,
+    Vec<NodeId>,
+    Vec<Vec<NodeId>>,
+) {
+    let loads = cluster
+        .nodes()
+        .iter()
+        .map(|n| {
+            cluster
+                .metrics()
+                .iter()
+                .map(|(m, _)| n.load[m].to_bits())
+                .collect()
+        })
+        .collect();
+    let costs = cluster
+        .nodes()
+        .iter()
+        .map(|n| cluster.node_cost(n.id).to_bits())
+        .collect();
+    let domains = (0..cluster.fault_domain_count() as u32)
+        .map(|d| cluster.domain_nodes_by_cost(d).collect())
+        .collect();
+    (
+        loads,
+        costs,
+        cluster.violations(),
+        cluster.candidate_nodes_by_cost().collect(),
+        domains,
     )
 }
 
@@ -368,5 +409,75 @@ proptest! {
         let id = cluster.add_service(&spec, &placement, SimTime::ZERO);
         cluster.check_invariants();
         prop_assert_eq!(cluster.service(id).unwrap().replicas.len(), replicas as usize);
+    }
+
+    #[test]
+    fn report_loads_equals_sequential_report_load(
+        services in prop::collection::vec((0u32..8, 1u32..=4, 1.0f64..16.0, 1.0f64..600.0), 1..24),
+        down in 0u32..8,
+        reports in prop::collection::vec((0usize..256, any::<bool>(), 0.0f64..2_500.0), 1..64),
+        again in 0.0f64..2_500.0,
+    ) {
+        // One batch must leave the cluster bit-identical to the same
+        // reports applied one by one: replicas reported twice (the last
+        // value wins), several replicas on one node, a down node, loads
+        // pushed past capacity and back.
+        let (mut cluster, cpu, disk) = {
+            let (c, cpu, disk) = build_cluster();
+            (
+                Cluster::new(ClusterConfig {
+                    node_count: 8,
+                    metrics: c.metrics().clone(),
+                    fault_domains: 3,
+                }),
+                cpu,
+                disk,
+            )
+        };
+        for (start, replicas, c, d) in services {
+            let mut load = cluster.metrics().zero_load();
+            load[cpu] = c;
+            load[disk] = d;
+            let spec = ServiceSpec {
+                name: "db".into(),
+                tag: 0,
+                replica_count: replicas,
+                default_load: load,
+            };
+            let placement: Vec<NodeId> = (0..replicas).map(|k| NodeId((start + k) % 8)).collect();
+            cluster.add_service(&spec, &placement, SimTime::ZERO);
+        }
+        cluster.set_node_up(NodeId(down), false);
+        let live: Vec<ReplicaId> = cluster.replicas().map(|r| r.id).collect();
+        let mut batch: Vec<(ReplicaId, MetricId, f64)> = reports
+            .iter()
+            .map(|&(i, is_disk, v)| {
+                let metric = if is_disk { disk } else { cpu };
+                let value = if is_disk { v } else { v / 20.0 };
+                (live[i % live.len()], metric, value)
+            })
+            .collect();
+        let (first, metric, _) = batch[0];
+        batch.push((first, metric, if metric == disk { again } else { again / 20.0 }));
+
+        let mut sequential = cluster.clone();
+        for &(replica, metric, value) in &batch {
+            sequential.report_load(replica, metric, value);
+        }
+        cluster.report_loads(&batch);
+        prop_assert_eq!(derived_state(&cluster), derived_state(&sequential));
+        for r in sequential.replicas() {
+            let b = cluster.replica(r.id).expect("same replicas");
+            prop_assert_eq!(b.load[cpu].to_bits(), r.load[cpu].to_bits());
+            prop_assert_eq!(b.load[disk].to_bits(), r.load[disk].to_bits());
+        }
+        prop_assert!(cluster.invariants_ok());
+        // The scratch is clean: a second batch behaves the same way.
+        for &(replica, metric, value) in batch.iter().rev() {
+            sequential.report_load(replica, metric, value);
+        }
+        batch.reverse();
+        cluster.report_loads(&batch);
+        prop_assert_eq!(derived_state(&cluster), derived_state(&sequential));
     }
 }

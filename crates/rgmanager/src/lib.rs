@@ -20,16 +20,17 @@
 //!    node whose RgManager has no memory of it, so the value resets —
 //!    exactly the cold-buffer-pool behaviour §3.3.2 wants.
 //! 4. Persisted metrics (local-store disk) round-trip their previous
-//!    value through the Naming Service. Only the primary executes the
-//!    model and writes; secondaries report the stored value verbatim, so
-//!    a newly promoted primary "will have the same disk usage as the
-//!    previous primary replica".
+//!    value through the Naming Service, stored as a number and read and
+//!    written in one probe ([`NamingService::update_num`]). Only the
+//!    primary executes the model and writes; secondaries report the
+//!    stored value verbatim, so a newly promoted primary "will have the
+//!    same disk usage as the previous primary replica".
 
 pub mod governance;
 
-use std::collections::BTreeMap;
 use toto_fabric::naming::NamingService;
 use toto_models::compiled::{CompiledModelSet, ReplicaRoleKind, SampleContext};
+use toto_simcore::collections::{det_hash_map, DetHashMap};
 use toto_simcore::time::SimTime;
 use toto_spec::model::ModelSetSpec;
 use toto_spec::{EditionKind, ResourceKind};
@@ -82,11 +83,11 @@ pub struct RgManager {
     node: u32,
     models: Option<CompiledModelSet>,
     last_version: Option<u64>,
-    /// Previous reported values for non-persisted metrics, per (replica,
-    /// resource). Lives and dies with this RgManager instance. Ordered
-    /// container: iteration must be deterministic so identically-seeded
-    /// runs stay byte-identical (D001).
-    mem_state: BTreeMap<(u64, ResourceKind), f64>,
+    /// Previous reported values for non-persisted metrics: one slot per
+    /// replica, indexed by [`ResourceKind::index`]. Lives and dies with
+    /// this RgManager instance. Nothing iterates it, so the hash order
+    /// never reaches an artifact.
+    mem_state: DetHashMap<u64, [Option<f64>; 3]>,
     refresh_count: u64,
     /// Scratch buffer for persisted-state keys (reused across reports).
     key_scratch: String,
@@ -103,7 +104,7 @@ impl RgManager {
             node,
             models: None,
             last_version: None,
-            mem_state: BTreeMap::new(),
+            mem_state: det_hash_map(),
             refresh_count: 0,
             key_scratch: String::new(),
             seen_blob_version: None,
@@ -131,7 +132,7 @@ impl RgManager {
     /// the previously loaded models.
     pub fn refresh_models(&mut self, naming: &mut NamingService) -> bool {
         self.refresh_count += 1;
-        let Some((xml, blob_version)) = naming.get_versioned(MODEL_KEY) else {
+        let Some((blob, blob_version)) = naming.get_versioned(MODEL_KEY) else {
             return false;
         };
         if self.seen_blob_version == Some(blob_version) {
@@ -140,11 +141,10 @@ impl RgManager {
             // (or a previous rejection of this exact blob) stands.
             return false;
         }
-        let Ok(spec) = ModelSetSpec::from_xml_str(xml) else {
-            self.seen_blob_version = Some(blob_version);
+        self.seen_blob_version = Some(blob_version);
+        let Some(Ok(spec)) = blob.as_text().map(ModelSetSpec::from_xml_str) else {
             return false;
         };
-        self.seen_blob_version = Some(blob_version);
         if self.last_version == Some(spec.version) {
             return false;
         }
@@ -167,7 +167,7 @@ impl RgManager {
     /// process restarted elsewhere). Non-persisted metrics then reset on
     /// their next report, as in production.
     pub fn forget_replica(&mut self, replica: u64) {
-        self.mem_state.retain(|(r, _), _| *r != replica);
+        self.mem_state.remove(&replica);
     }
 
     /// Handle a metric report RPC: returns the value the replica should
@@ -201,60 +201,40 @@ impl RgManager {
             // reported" (§3.3.1).
             return req.actual_load;
         };
+        let mut ctx = SampleContext {
+            service: req.service,
+            node: self.node,
+            role: req.role,
+            created_at: req.created_at,
+            now: req.now,
+            prev: None,
+        };
         if model.persisted() {
             persisted_state_key_into(&mut self.key_scratch, req.resource, req.service);
-            let prev = naming
-                .get(&self.key_scratch)
-                .and_then(|v| v.parse::<f64>().ok());
-            let ctx = SampleContext {
-                service: req.service,
-                node: self.node,
-                role: req.role,
-                created_at: req.created_at,
-                now: req.now,
-                prev,
-            };
-            let value = model.next_value(&ctx);
+            // "only the primary replica executes the model and persists
+            // the load" (§3.3.2): one probe reads the previous value and,
+            // for the primary, stores the new one.
+            let persist = req.role == ReplicaRoleKind::Primary;
+            let value = naming.update_num(&self.key_scratch, persist, |prev| {
+                ctx.prev = prev;
+                model.next_value(&ctx)
+            });
             debug_assert!(
                 value.is_finite(),
                 "model produced non-finite persisted report for {:?}",
                 req.resource
             );
-            if req.role == ReplicaRoleKind::Primary {
-                // "only the primary replica executes the model and
-                // persists the load" (§3.3.2). Formats into the stored
-                // buffer: the steady-state overwrite allocates nothing.
-                naming.write_with(&self.key_scratch, |buf| {
-                    use std::fmt::Write;
-                    // `{:?}` preserves round-trip precision for f64.
-                    let _ = write!(buf, "{value:?}");
-                });
-            }
             value
         } else {
-            // One ordered-map probe per report: the entry holds the slot
-            // for both the `prev` read and the write-back.
-            let slot = (req.replica, req.resource);
-            let entry = self.mem_state.entry(slot);
-            let prev = match &entry {
-                std::collections::btree_map::Entry::Occupied(e) => Some(*e.get()),
-                std::collections::btree_map::Entry::Vacant(_) => None,
-            };
-            let ctx = SampleContext {
-                service: req.service,
-                node: self.node,
-                role: req.role,
-                created_at: req.created_at,
-                now: req.now,
-                prev,
-            };
+            let slot = &mut self.mem_state.entry(req.replica).or_default()[req.resource.index()];
+            ctx.prev = *slot;
             let value = model.next_value(&ctx);
             debug_assert!(
                 value.is_finite(),
                 "model produced non-finite in-memory report for {:?}",
                 req.resource
             );
-            *entry.or_default() = value;
+            *slot = Some(value);
             value
         }
     }
@@ -277,6 +257,7 @@ impl RgManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use toto_fabric::naming::Value;
     use toto_spec::model::{
         HourlyTable, MetricModelSpec, ModelSetSpec, SteadyStateSpec, TargetPopulation,
     };
@@ -374,12 +355,11 @@ mod tests {
         assert!((v1 - 1.0).abs() < 1e-12);
         let v2 = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 2400));
         assert!((v2 - 2.0).abs() < 1e-12);
-        // The persisted value is in the naming service.
-        let stored: f64 = naming
-            .get(&persisted_state_key(ResourceKind::Disk, 9))
-            .unwrap()
-            .parse()
-            .unwrap();
+        // The persisted value is in the naming service, as a number.
+        let Some(&Value::Num(stored)) = naming.get(&persisted_state_key(ResourceKind::Disk, 9))
+        else {
+            panic!("the primary stores a number");
+        };
         assert!((stored - 2.0).abs() < 1e-12);
     }
 
@@ -466,22 +446,28 @@ mod tests {
 
     #[test]
     fn value_serialisation_round_trips() {
-        // The persisted write formats with `{:?}`, which must preserve
-        // full f64 round-trip precision through the Naming Service.
+        // The persisted value must round-trip bitwise through the Naming
+        // Service, and text seeded with `{:?}` must parse back to the
+        // bits it was formatted from.
         let mut naming = NamingService::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1_234.567_890_123_456_7, true));
         let mut rg = RgManager::new(0);
         rg.refresh_models(&mut naming);
         let v = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
-        let stored: f64 = naming
-            .get(&persisted_state_key(ResourceKind::Disk, 9))
-            .unwrap()
-            .parse()
-            .unwrap();
+        let key = persisted_state_key(ResourceKind::Disk, 9);
+        let Some(&Value::Num(stored)) = naming.get(&key) else {
+            panic!("the primary stores a number");
+        };
         assert_eq!(
             stored.to_bits(),
             v.to_bits(),
-            "persisted text must round-trip bitwise: {stored} vs {v}"
+            "persisted value must round-trip bitwise: {stored} vs {v}"
         );
+        naming.write(&key, format!("{v:?}"));
+        let secondary = rg.compute_report(
+            &mut naming,
+            &request(2, 9, ReplicaRoleKind::Secondary, 2400),
+        );
+        assert_eq!(secondary.to_bits(), v.to_bits(), "{secondary} vs {v}");
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for RgManager's metric interception.
 
 use proptest::prelude::*;
-use toto_fabric::naming::NamingService;
+use toto_fabric::naming::{NamingService, Value};
 use toto_models::compiled::ReplicaRoleKind;
 use toto_rgmanager::{persisted_state_key, ReportRequest, RgManager, MODEL_KEY};
 use toto_simcore::time::SimTime;
@@ -84,12 +84,8 @@ proptest! {
                 &request(service, ReplicaRoleKind::Primary, 1200 * i as u64, 0.0),
             );
         }
-        let stored: f64 = naming
-            .get(&persisted_state_key(ResourceKind::Disk, service))
-            .expect("primary persists")
-            .parse()
-            .expect("parses");
-        prop_assert_eq!(stored, last);
+        let stored = naming.get(&persisted_state_key(ResourceKind::Disk, service));
+        prop_assert_eq!(stored, Some(&Value::Num(last)), "primary persists a number");
         // Any secondary on any node reports exactly the stored value.
         let mut rg2 = RgManager::new(7);
         rg2.refresh_models(&mut naming);

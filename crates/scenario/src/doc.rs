@@ -240,6 +240,20 @@ impl Keys {
         }
     }
 
+    fn take_u32(&mut self, key: &str) -> Result<Option<u32>, ScenarioError> {
+        self.take_uint(key)?
+            .map(|n| {
+                u32::try_from(n).map_err(|_| {
+                    ScenarioError::invalid(format!(
+                        "`{key}` in [{}] must be at most {}, got {n}",
+                        self.section,
+                        u32::MAX
+                    ))
+                })
+            })
+            .transpose()
+    }
+
     fn take_bool(&mut self, key: &str) -> Result<Option<bool>, ScenarioError> {
         match self.take(key) {
             None => Ok(None),
@@ -392,14 +406,14 @@ impl ScenarioDoc {
                         )));
                     }
                 }
-                let node_count = keys.take_uint("node_count")?;
+                let node_count = keys.take_u32("node_count")?;
                 if node_count == Some(0) {
                     return Err(ScenarioError::invalid(
                         "[schedule] node_count must be positive",
                     ));
                 }
-                let bootstrap_gp = keys.take_uint("bootstrap_gp")?;
-                let bootstrap_bc = keys.take_uint("bootstrap_bc")?;
+                let bootstrap_gp = keys.take_u32("bootstrap_gp")?;
+                let bootstrap_bc = keys.take_u32("bootstrap_bc")?;
                 if bootstrap_gp == Some(0) && bootstrap_bc == Some(0) {
                     return Err(ScenarioError::invalid(
                         "[schedule] bootstrap_gp and bootstrap_bc must not both be zero",
@@ -420,9 +434,9 @@ impl ScenarioDoc {
                 keys.finish()?;
                 Some(ScheduleConfig {
                     densities: densities.iter().map(|&d| d as u32).collect(),
-                    node_count: node_count.map(|n| n as u32),
-                    bootstrap_gp: bootstrap_gp.map(|n| n as u32),
-                    bootstrap_bc: bootstrap_bc.map(|n| n as u32),
+                    node_count,
+                    bootstrap_gp,
+                    bootstrap_bc,
                     cores_per_node,
                     memory_per_node_gb,
                 })
@@ -486,11 +500,11 @@ impl ScenarioDoc {
             None => None,
             Some((_, table)) => {
                 let mut keys = Keys::new("pools", table);
-                let pools = keys.take_uint("pools")?.unwrap_or(12);
-                let members = keys.take_uint("members")?.unwrap_or(20);
-                let pool_vcores = keys.take_uint("pool_vcores")?.unwrap_or(8);
-                let per_db_vcores = keys.take_uint("per_db_vcores")?.unwrap_or(2);
-                let databases = keys.take_uint("databases")?.unwrap_or(1000);
+                let pools = keys.take_u32("pools")?.unwrap_or(12);
+                let members = keys.take_u32("members")?.unwrap_or(20);
+                let pool_vcores = keys.take_u32("pool_vcores")?.unwrap_or(8);
+                let per_db_vcores = keys.take_u32("per_db_vcores")?.unwrap_or(2);
+                let databases = keys.take_u32("databases")?.unwrap_or(1000);
                 keys.finish()?;
                 if pools == 0 || members == 0 || pool_vcores == 0 || per_db_vcores == 0 {
                     return Err(ScenarioError::invalid(
@@ -498,11 +512,11 @@ impl ScenarioDoc {
                     ));
                 }
                 Some(PoolsConfig {
-                    pools: pools as u32,
-                    members: members as u32,
-                    pool_vcores: pool_vcores as u32,
-                    per_db_vcores: per_db_vcores as u32,
-                    databases: databases as u32,
+                    pools,
+                    members,
+                    pool_vcores,
+                    per_db_vcores,
+                    databases,
                 })
             }
         };

@@ -69,6 +69,7 @@ impl SeedTree {
     }
 
     /// Derive a child subtree for `(label, index)`.
+    #[inline]
     pub fn child(self, label: &str, index: u64) -> SeedTree {
         let mut s = self
             .seed
@@ -83,11 +84,13 @@ impl SeedTree {
     }
 
     /// Materialise the RNG for this point in the tree.
+    #[inline]
     pub fn rng(self) -> DetRng {
         DetRng::seed_from_u64(self.seed)
     }
 
     /// Convenience: derive a child and materialise its RNG in one call.
+    #[inline]
     pub fn child_rng(self, label: &str, index: u64) -> DetRng {
         self.child(label, index).rng()
     }
@@ -105,6 +108,7 @@ pub struct DetRng {
 
 impl DetRng {
     /// Seed the generator from a single 64-bit value.
+    #[inline]
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
         let mut s = [0u64; 4];
@@ -145,6 +149,7 @@ impl DetRng {
     /// Uniform integer in `[0, bound)` using Lemire's rejection method.
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "next_below bound must be positive");
         // Widening-multiply rejection sampling: unbiased and branch-light.
@@ -172,6 +177,7 @@ impl DetRng {
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
     }

@@ -39,6 +39,17 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
         "[scenario]\nname = \"huge\"\nkind = \"fleet\"\nhours = 1e18\n\
          [schedule]\ndensities = [100]\n",
     );
+    // 4294967310 is 2^32 + 14: a `u32` cast would read 14 and run.
+    let wide_nodes = file(
+        "wide-nodes.toml",
+        "[scenario]\nname = \"wide\"\nkind = \"fleet\"\nhours = 1\n\
+         [schedule]\ndensities = [100]\nnode_count = 4294967310\n",
+    );
+    let wide_members = file(
+        "wide-members.toml",
+        "[scenario]\nname = \"wide\"\nkind = \"pools\"\nhours = 1\n\
+         [pools]\nmembers = 4294967316\n",
+    );
     let out = dir.join("out").display().to_string();
     let missing = dir.join("missing.toml").display().to_string();
 
@@ -83,6 +94,16 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
         (
             "[scenario] hours past the clock",
             vec!["run", &huge_hours, "--out", &out],
+            2,
+        ),
+        (
+            "[schedule] node_count past u32",
+            vec!["run", &wide_nodes, "--out", &out],
+            2,
+        ),
+        (
+            "[pools] members past u32",
+            vec!["run", &wide_members, "--out", &out],
             2,
         ),
         ("oracle gate fails", vec!["run", &misfit, "--out", &out], 1),
