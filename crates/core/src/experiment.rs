@@ -29,7 +29,7 @@ use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::naming::NamingService;
 use toto_fabric::plb::{FailoverEvent, Plb, PlbConfig};
 use toto_models::compiled::ReplicaRoleKind;
-use toto_rgmanager::{persisted_state_key, ReportRequest, RgManager, MODEL_KEY};
+use toto_rgmanager::{persisted_state_key, ModelCache, ReportRequest, RgManager, MODEL_KEY};
 use toto_simcore::event::{Scheduler, Simulation};
 use toto_simcore::rng::DetRng;
 use toto_simcore::time::{SimDuration, SimTime, SECS_PER_HOUR, SECS_PER_WEEK};
@@ -137,6 +137,9 @@ pub struct ExperimentState {
     cluster: Cluster,
     plb: Plb,
     naming: NamingService,
+    /// The compiled model blob every RgManager shares, keyed by the
+    /// blob's Naming Service version.
+    models: ModelCache,
     rgmanagers: Vec<RgManager>,
     governors: Vec<toto_rgmanager::governance::NodeGovernor>,
     admission: AdmissionController,
@@ -313,9 +316,10 @@ impl DensityExperiment {
             );
         }
 
+        let mut models = ModelCache::new();
         let mut rgmanagers: Vec<RgManager> = (0..scenario.node_count).map(RgManager::new).collect();
         for rg in &mut rgmanagers {
-            rg.refresh_models(&mut naming);
+            rg.refresh_models(&mut naming, &mut models);
         }
         let governors: Vec<toto_rgmanager::governance::NodeGovernor> = (0..scenario.node_count)
             .map(|_| toto_rgmanager::governance::NodeGovernor::new(scenario.cores_per_node))
@@ -353,6 +357,7 @@ impl DensityExperiment {
             cluster,
             plb,
             naming,
+            models,
             rgmanagers,
             governors,
             admission: AdmissionController::new(cpu, memory, disk),
@@ -621,7 +626,7 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
 /// Every 15 minutes each node's RgManager re-reads the model XML.
 fn refresh_models(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     for rg in &mut state.rgmanagers {
-        rg.refresh_models(&mut state.naming);
+        rg.refresh_models(&mut state.naming, &mut state.models);
     }
     let next = sched.now() + SimDuration::from_secs(state.scenario.model_refresh_secs);
     if next <= state.end {

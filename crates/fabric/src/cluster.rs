@@ -8,7 +8,17 @@
 use crate::ids::{MetricId, NodeId, ReplicaId, ServiceId};
 use crate::metrics::{LoadVec, MetricRegistry};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use toto_simcore::time::SimTime;
+
+/// Source of node change stamps, shared by every cluster in the process
+/// so that no two mutations anywhere ever receive the same stamp. Equal
+/// stamps then imply equal node content across clones and across rings,
+/// which is what lets one [`crate::plb::Plb`] keep its cached ranking
+/// while it is handed different rings. Stamp 0 is never issued: it
+/// marks a node never mutated since [`Cluster::new`], which is the same
+/// zero-load, up node in every ring.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// Map an `f64` cost to a `u64` whose unsigned order matches
 /// [`f64::total_cmp`]. Used as the ordering key of the candidate-node
@@ -188,6 +198,11 @@ pub struct Cluster {
     /// between calls.
     touched: Vec<NodeId>,
     touched_mark: Vec<bool>,
+    /// Per-node change stamp, indexed by raw node id: drawn afresh from
+    /// the process-wide counter whenever the node's load or up state may
+    /// have changed. It only tells the PLB's ranking cache which nodes to
+    /// recompute; no stamp reaches a decision or an artifact.
+    stamps: Vec<u64>,
 }
 
 impl Cluster {
@@ -239,7 +254,20 @@ impl Cluster {
             domain_cost_index,
             touched: Vec::new(),
             touched_mark: vec![false; config.node_count as usize],
+            stamps: vec![0; config.node_count as usize],
         }
+    }
+
+    /// Give a node a fresh change stamp. `Relaxed` suffices: the counter
+    /// publishes no other data, and `fetch_add` alone makes every stamp
+    /// unique.
+    fn stamp(&mut self, node: NodeId) {
+        self.stamps[node.0 as usize] = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Every node's change stamp, indexed by raw node id.
+    pub(crate) fn node_stamps(&self) -> &[u64] {
+        &self.stamps
     }
 
     /// Recompute one node's cached cost from its current aggregate load.
@@ -247,8 +275,10 @@ impl Cluster {
     /// cache exact (not incrementally drifted): the stored value is always
     /// `cost_of` applied to the present load bits. The same hook keeps
     /// the candidate-node index and the violation dirty-set exact, so
-    /// every derived structure refreshes from one place.
+    /// every derived structure refreshes from one place, and the node
+    /// gets a fresh change stamp.
     fn refresh_node_cost(&mut self, node: NodeId) {
+        self.stamp(node);
         let i = node.0 as usize;
         let old_cost = self.node_costs[i];
         let new_cost = self.metrics.cost_of(&self.nodes[i].load);
@@ -594,6 +624,7 @@ impl Cluster {
             return;
         }
         self.nodes[i].up = up;
+        self.stamp(node);
         let key = (cost_key(self.node_costs[i]), node);
         let domain = self.nodes[i].fault_domain as usize;
         if up {
@@ -607,7 +638,8 @@ impl Cluster {
 
     /// Change one metric's node-level logical capacity mid-run (chaos
     /// capacity degradation / restoration). Every node's cached cost
-    /// depends on the capacity, so the whole cache is refreshed here.
+    /// depends on the capacity, so the whole cache is refreshed (and
+    /// every node stamped) here.
     /// Returns the previous capacity.
     pub fn set_metric_capacity(&mut self, metric: MetricId, node_capacity: f64) -> f64 {
         let prev = self.metrics.set_node_capacity(metric, node_capacity);
@@ -626,6 +658,7 @@ impl Cluster {
     #[doc(hidden)]
     pub fn corrupt_node_cost_for_test(&mut self, node: NodeId, value: f64) {
         self.node_costs[node.0 as usize] = value;
+        self.stamp(node);
     }
 
     /// Deliberately desync the violation dirty-set. Exists solely so

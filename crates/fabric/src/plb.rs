@@ -153,24 +153,37 @@ pub struct FailoverEvent {
 /// and failover targeting run hundreds of thousands of times per density
 /// study; keeping their working vectors here means each decision is
 /// allocation-free after the first call (buffers are cleared, never
-/// shrunk). Holding them on the `Plb` never aliases cluster state: every
-/// decision method rebuilds the buffers it uses from the cluster it is
-/// handed before reading them. The one buffer carried between decisions,
-/// `order`, only sets the order placement visits nodes in, which no
-/// result depends on.
+/// shrunk). Holding them on the `Plb` never aliases cluster state:
+/// failover targeting rebuilds the buffers it uses from the cluster it
+/// is handed, and placement's ranking cache is keyed by the cluster's
+/// per-node change stamps and by every input bit of the marginal cost,
+/// so a stale entry is never read — see [`Plb::place_new_service`].
 #[derive(Clone, Debug, Default)]
 struct Scratch {
-    /// `(marginal cost, node)` pairs ranked ascending for placement.
+    /// `(marginal cost, node)` of every feasible node for the last
+    /// placement, ranked ascending by `(cost by total_cmp, node id)`.
     ranked: Vec<(f64, NodeId)>,
-    /// Scan order for the next placement: the last placement's ranking,
-    /// then the nodes it found infeasible. A permutation of the ring's
-    /// node ids, and only a hint — see [`Plb::place_new_service`].
-    order: Vec<NodeId>,
-    /// Nodes the current placement scan found infeasible, in scan order.
+    /// Nodes the last placement found infeasible. With `ranked` a
+    /// permutation of the ring's node ids.
     skipped: Vec<NodeId>,
-    /// Marginal placement cost per node, indexed by raw node id; stale
-    /// entries are overwritten before each use.
+    /// Marginal placement cost per node, indexed by raw node id;
+    /// `INFINITY` for infeasible nodes.
     marginal: Vec<f64>,
+    /// Each node's change stamp as the cached ranking read it, indexed
+    /// by raw node id. `u64::MAX`, which the cluster never issues,
+    /// forces a recompute.
+    stamps: Vec<u64>,
+    /// The bits the cached ranking was computed from: placement
+    /// headroom, the spec's default load, then each metric's capacity
+    /// and balancing weight.
+    key: Vec<u64>,
+    /// Feasible nodes recomputed for the current placement.
+    changed: Vec<(f64, NodeId)>,
+    /// Stale nodes collected by the current placement's walk, in the
+    /// previous order.
+    stale: Vec<NodeId>,
+    /// Merge output, swapped into `ranked`.
+    merged: Vec<(f64, NodeId)>,
     /// Candidate nodes for the current decision, in evaluation order.
     candidates: Vec<NodeId>,
     /// Memoized per-candidate target costs, parallel to `candidates`.
@@ -264,22 +277,31 @@ impl Plb {
         Some(cost - cluster.node_cost(n))
     }
 
+    /// The ranking order: marginal cost by `total_cmp`, then node id. A
+    /// strict total order (even for NaN), so sorting cannot panic and any
+    /// sort or merge of the same entries yields the same list.
+    fn rank_cmp(a: &(f64, NodeId), b: &(f64, NodeId)) -> std::cmp::Ordering {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+    }
+
     /// Decide a placement for a new service: `replica_count` distinct
     /// nodes, primary first. Does not mutate the cluster.
     ///
-    /// The marginal cost of each feasible node is computed exactly once
-    /// per decision, before sorting; the greedy sort, the annealing loop
-    /// and the final primary sort all read the precomputed table.
+    /// The marginal cost of each feasible node is held in a table; the
+    /// greedy start, the annealing loop and the final primary sort all
+    /// read it.
     ///
-    /// The ranking is warm-started: nodes are scanned in the previous
-    /// placement's rank order, kept in the scratch buffers. A placement
-    /// changes the load of at most `replica_count` nodes, so the scan
-    /// yields a nearly sorted list and the run-adaptive stable sort
-    /// finishes it in close to linear time instead of sorting ~n
-    /// id-ordered keys. The order is a hint, never state: the sort key
-    /// `(cost by total_cmp, node id)` is a strict total order, so the
-    /// ranked list, every RNG draw and the returned placement are the
-    /// same whatever order the scan visits nodes in.
+    /// The ranking is incremental. The scratch buffers keep the last
+    /// placement's ranking and marginal table, each node's change stamp
+    /// as it was read, and the bits the costs were computed from. When
+    /// those bits and the node count match, only nodes whose stamp moved
+    /// are recomputed (a placement that repeats the previous load after
+    /// that placement's service was added recomputes the nodes it landed
+    /// on); otherwise every node is. The unchanged entries keep their order,
+    /// the recomputed ones are sorted and merged in. The sort key is a
+    /// strict total order, so the ranked list, the marginal table, every
+    /// RNG draw and the returned placement are those of a full
+    /// recompute, which debug builds check.
     pub fn place_new_service(
         &mut self,
         cluster: &Cluster,
@@ -287,28 +309,14 @@ impl Plb {
     ) -> Result<Vec<NodeId>, PlacementError> {
         let k = spec.replica_count as usize;
         assert!(k >= 1, "services need at least one replica");
-        let headroom = self.config.placement_headroom;
-        // Rank feasible nodes by marginal cost (computed once per node —
-        // the comparator only reads precomputed keys). `total_cmp` gives
-        // a total order even for NaN, so the sort cannot panic. A `Plb`
-        // handed a ring of another size starts again from id order.
-        let ranked = &mut self.scratch.ranked;
-        let order = &mut self.scratch.order;
-        let skipped = &mut self.scratch.skipped;
-        if order.len() != cluster.node_count() {
-            order.clear();
-            order.extend((0..cluster.node_count() as u32).map(NodeId));
-        }
-        ranked.clear();
-        skipped.clear();
-        for &n in order.iter() {
-            match Self::fit_cost(cluster, n, &spec.default_load, headroom) {
-                Some(cost) => ranked.push((cost, n)),
-                None => skipped.push(n),
-            }
-        }
-        if ranked.len() < k {
-            let found = ranked.len() as u32;
+        self.rank(cluster, &spec.default_load);
+        debug_assert!(
+            self.ranking_is_exact(cluster, &spec.default_load),
+            "incremental placement ranking diverged from a full recompute"
+        );
+        let feasible = &self.scratch.ranked;
+        if feasible.len() < k {
+            let found = feasible.len() as u32;
             toto_trace::emit(toto_trace::EventKind::PlacementRejected, || {
                 toto_trace::EventBody::PlacementRejected {
                     needed: u64::from(spec.replica_count),
@@ -320,24 +328,12 @@ impl Plb {
                 feasible: found,
             });
         }
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        order.clear();
-        order.extend(ranked.iter().map(|&(_, n)| n));
-        order.extend_from_slice(skipped);
-        // Marginal-cost lookup table for the anneal, indexed by raw node
-        // id. The feasible set in rank order is the next scan's prefix.
-        let marginal = &mut self.scratch.marginal;
-        marginal.clear();
-        marginal.resize(cluster.node_count(), f64::INFINITY);
-        for &(cost, n) in ranked.iter() {
-            marginal[n.0 as usize] = cost;
-        }
-        let feasible = &self.scratch.order[..ranked.len()];
+        let marginal = &self.scratch.marginal;
         // Greedy start: cheapest nodes first, preferring fault domains not
         // already used by this placement.
         let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
         let mut used_domains: Vec<u32> = Vec::with_capacity(k);
-        for &n in feasible.iter() {
+        for &(_, n) in feasible.iter() {
             if chosen.len() == k {
                 break;
             }
@@ -348,7 +344,7 @@ impl Plb {
             }
         }
         // Fewer domains than replicas: fill with the cheapest remaining.
-        for &n in feasible.iter() {
+        for &(_, n) in feasible.iter() {
             if chosen.len() == k {
                 break;
             }
@@ -385,7 +381,7 @@ impl Plb {
             let mut accepted: u64 = 0;
             for _ in 0..self.config.anneal_iterations {
                 let slot = self.rng.next_below(k as u64) as usize;
-                let alt = feasible[self.rng.next_below(feasible.len() as u64) as usize];
+                let alt = feasible[self.rng.next_below(feasible.len() as u64) as usize].1;
                 if chosen.contains(&alt) {
                     temperature *= self.config.cooling;
                     continue;
@@ -457,6 +453,131 @@ impl Plb {
                 .then(a.cmp(&b))
         });
         Ok(chosen)
+    }
+
+    /// Bring the cached ranking and marginal table up to date for
+    /// placing `load` on `cluster`. A ring of another size starts again
+    /// from id order; a change in any key bit marks every node stale.
+    /// One walk over the previous order (the ranked list, then the
+    /// infeasible nodes) keeps the fresh entries in place and collects
+    /// the stale ones; those are recomputed, stable-sorted (the previous
+    /// order makes them nearly sorted) and merged into the kept entries
+    /// one binary-searched chunk at a time.
+    fn rank(&mut self, cluster: &Cluster, load: &LoadVec) {
+        let headroom = self.config.placement_headroom;
+        let Scratch {
+            ranked,
+            skipped,
+            marginal,
+            stamps,
+            key,
+            stale,
+            changed,
+            merged,
+            ..
+        } = &mut self.scratch;
+        let n = cluster.node_count();
+        if stamps.len() != n {
+            ranked.clear();
+            skipped.clear();
+            skipped.extend((0..n as u32).map(NodeId));
+            marginal.clear();
+            marginal.resize(n, f64::INFINITY);
+            stamps.clear();
+            stamps.resize(n, u64::MAX);
+        }
+        let bits = || {
+            std::iter::once(headroom.to_bits())
+                .chain(load.as_slice().iter().map(|v| v.to_bits()))
+                .chain(cluster.metrics().iter().flat_map(|(_, def)| {
+                    [def.node_capacity.to_bits(), def.balancing_weight.to_bits()]
+                }))
+        };
+        if !key.iter().copied().eq(bits()) {
+            key.clear();
+            key.extend(bits());
+            stamps.fill(u64::MAX);
+        }
+        let now = cluster.node_stamps();
+        stale.clear();
+        let fresh = |n: NodeId| stamps[n.0 as usize] == now[n.0 as usize];
+        ranked.retain(|&(_, n)| {
+            fresh(n) || {
+                stale.push(n);
+                false
+            }
+        });
+        skipped.retain(|&n| {
+            fresh(n) || {
+                stale.push(n);
+                false
+            }
+        });
+        changed.clear();
+        for &n in stale.iter() {
+            let i = n.0 as usize;
+            stamps[i] = now[i];
+            match Self::fit_cost(cluster, n, load, headroom) {
+                Some(cost) => {
+                    marginal[i] = cost;
+                    changed.push((cost, n));
+                }
+                None => {
+                    marginal[i] = f64::INFINITY;
+                    skipped.push(n);
+                }
+            }
+        }
+        changed.sort_by(Self::rank_cmp);
+        merged.clear();
+        let mut rest = &ranked[..];
+        for entry in changed.iter() {
+            let at = rest.partition_point(|e| Self::rank_cmp(e, entry).is_lt());
+            merged.extend_from_slice(&rest[..at]);
+            merged.push(*entry);
+            rest = &rest[at..];
+        }
+        merged.extend_from_slice(rest);
+        std::mem::swap(ranked, merged);
+    }
+
+    /// True iff the cached ranking and marginal table equal, bitwise, a
+    /// from-scratch ranking of every node for placing `load` on
+    /// `cluster`, and the ranked and infeasible nodes together are a
+    /// permutation of the ring's nodes. The debug-build check behind
+    /// [`Plb::place_new_service`].
+    fn ranking_is_exact(&self, cluster: &Cluster, load: &LoadVec) -> bool {
+        let headroom = self.config.placement_headroom;
+        let mut full: Vec<(f64, NodeId)> = cluster
+            .nodes()
+            .iter()
+            .filter_map(|node| {
+                Self::fit_cost(cluster, node.id, load, headroom).map(|c| (c, node.id))
+            })
+            .collect();
+        full.sort_by(Self::rank_cmp);
+        let mut marginal = vec![f64::INFINITY; cluster.node_count()];
+        for &(cost, n) in &full {
+            marginal[n.0 as usize] = cost;
+        }
+        let s = &self.scratch;
+        let bits =
+            |v: &[(f64, NodeId)]| v.iter().map(|&(c, n)| (c.to_bits(), n)).collect::<Vec<_>>();
+        let mut all: Vec<NodeId> = s
+            .ranked
+            .iter()
+            .map(|&(_, n)| n)
+            .chain(s.skipped.iter().copied())
+            .collect();
+        all.sort_unstable();
+        bits(&full) == bits(&s.ranked)
+            && marginal
+                .iter()
+                .map(|c| c.to_bits())
+                .eq(s.marginal.iter().map(|c| c.to_bits()))
+            && all
+                .into_iter()
+                .eq(cluster.nodes().iter().map(|node| node.id))
     }
 
     /// Place and create a service in one step.
@@ -1813,7 +1934,7 @@ mod tests {
         );
     }
 
-    /// A seeded ring for the hint-independence property: a third of the
+    /// A seeded ring for the ranking-cache property: a third of the
     /// nodes stay empty (cost ties broken by id), most carry a load from
     /// a coarse grid (more ties), some are too full for any spec the
     /// property places, and some are down.
@@ -1834,7 +1955,65 @@ mod tests {
         c
     }
 
-    mod hint {
+    /// A placement spec drawn from the property's grid.
+    fn random_spec(c: &Cluster, rng: &mut DetRng) -> ServiceSpec {
+        let k = 1 + rng.next_below(4) as u32;
+        spec(
+            c,
+            1.0 + rng.next_below(12) as f64,
+            10.0 * rng.next_below(10) as f64,
+            k,
+        )
+    }
+
+    /// One random cluster mutation, through each public mutator in turn
+    /// of the draw.
+    fn mutate(c: &mut Cluster, rng: &mut DetRng) {
+        let nodes = c.node_count() as u64;
+        let node = NodeId(rng.next_below(nodes) as u32);
+        let replicas = c.replicas().count() as u64;
+        let replica = (replicas > 0)
+            .then(|| c.replicas().nth(rng.next_below(replicas) as usize))
+            .flatten()
+            .map(|r| (r.id, r.service, r.node));
+        match rng.next_below(7) {
+            0 => {
+                let s = spec(c, 8.0 * rng.next_below(6) as f64, 50.0, 1);
+                c.add_service(&s, &[node], SimTime::ZERO);
+            }
+            1 => {
+                if let Some((_, service, _)) = replica {
+                    c.remove_service(service);
+                }
+            }
+            2 => {
+                if let Some((id, _, _)) = replica {
+                    let value = 4.0 * rng.next_below(30) as f64;
+                    c.report_loads(&[(id, MetricId(0), value), (id, MetricId(1), value * 5.0)]);
+                }
+            }
+            3 => {
+                if let Some((id, service, from)) = replica {
+                    if node != from && !c.node(node).hosts_service(service) {
+                        c.move_replica(id, node);
+                    }
+                }
+            }
+            4 => {
+                if let Some((id, _, _)) = replica {
+                    c.promote(id);
+                }
+            }
+            5 => c.set_node_up(node, rng.next_below(3) != 0),
+            _ => {
+                let metric = MetricId(rng.next_below(2) as u32);
+                let capacity = [96.0, 80.0, 1000.0, 600.0][rng.next_below(4) as usize];
+                c.set_metric_capacity(metric, capacity);
+            }
+        }
+    }
+
+    mod cache {
         use super::*;
         use proptest::prelude::*;
 
@@ -1842,48 +2021,106 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             #[test]
-            fn placement_is_independent_of_the_scan_order_hint(
+            fn placement_is_independent_of_the_ranking_cache(
                 nodes in 1u32..1201,
                 fault_domains in 1u32..501,
-                k in 1u32..5,
+                steps in 1usize..24,
                 seed: u64,
             ) {
                 let mut rng = DetRng::seed_from_u64(seed);
-                let c = random_ring(nodes, fault_domains, &mut rng);
-                let s = spec(
-                    &c,
-                    1.0 + rng.next_below(12) as f64,
-                    10.0 * rng.next_below(10) as f64,
-                    k,
-                );
-                for n in c.nodes() {
-                    let fused = Plb::fit_cost(&c, n.id, &s.default_load, 1.0);
-                    let pair = Plb::fits(&c, n.id, &s.default_load, 1.0)
-                        .then(|| Plb::add_cost(&c, n.id, &s.default_load));
-                    prop_assert_eq!(fused.map(f64::to_bits), pair.map(f64::to_bits));
+                let mut c = random_ring(nodes, fault_domains, &mut rng);
+                let mut s = random_spec(&c, &mut rng);
+                let mut long = plb(seed);
+                for _ in 0..steps {
+                    // Placements mostly repeat the previous load, as a
+                    // bootstrap population does, with mutations between.
+                    if rng.next_below(4) == 0 {
+                        s = random_spec(&c, &mut rng);
+                    }
+                    for _ in 0..rng.next_below(3) {
+                        mutate(&mut c, &mut rng);
+                    }
+                    for n in c.nodes() {
+                        let fused = Plb::fit_cost(&c, n.id, &s.default_load, 1.0);
+                        let pair = Plb::fits(&c, n.id, &s.default_load, 1.0)
+                            .then(|| Plb::add_cost(&c, n.id, &s.default_load));
+                        prop_assert_eq!(fused.map(f64::to_bits), pair.map(f64::to_bits));
+                    }
+                    let mut cold = Plb {
+                        scratch: Scratch::default(),
+                        ..long.clone()
+                    };
+                    let placed = long.place_new_service(&c, &s);
+                    prop_assert_eq!(&placed, &cold.place_new_service(&c, &s));
+                    prop_assert_eq!(long.rng.clone().next_raw(), cold.rng.next_raw());
+                    let mut order: Vec<NodeId> = long.scratch.ranked.iter().map(|&(_, n)| n)
+                        .chain(long.scratch.skipped.iter().copied())
+                        .collect();
+                    order.sort_unstable();
+                    prop_assert!(order.iter().copied().eq((0..nodes).map(NodeId)));
+                    if let Ok(placement) = placed {
+                        if rng.next_below(2) == 0 {
+                            c.add_service(&s, &placement, SimTime::ZERO);
+                        }
+                    }
                 }
-                let mut id_order = plb(seed);
-                let mut hinted = id_order.clone();
-                let mut hint: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-                rng.shuffle(&mut hint);
-                hinted.scratch.order = hint;
-                prop_assert_eq!(
-                    id_order.place_new_service(&c, &s),
-                    hinted.place_new_service(&c, &s)
-                );
-                prop_assert_eq!(id_order.rng.next_raw(), hinted.rng.next_raw());
-                let mut left = hinted.scratch.order.clone();
-                left.sort_unstable();
-                prop_assert!(left.iter().copied().eq((0..nodes).map(NodeId)));
             }
         }
     }
 
     #[test]
+    fn plb_alternating_between_rings_places_like_fresh_ones() {
+        // Rings `a` and `b` receive the same number of mutations on the
+        // same nodes, and `c` is a clone of `a` whose node 1 then changes
+        // once, as `a`'s does. A per-ring mutation clock would give those
+        // nodes equal stamps in both rings, and a shared cache would read
+        // one ring's costs for the other.
+        let load = |ring: &mut Cluster, node: u32, cpu: f64| {
+            let s = spec(ring, cpu, 10.0, 1);
+            ring.add_service(&s, &[NodeId(node)], SimTime::ZERO);
+        };
+        let (mut a, _, _) = cluster_in_domains(3, 3, 96.0, 1000.0);
+        let (mut b, _, _) = cluster_in_domains(3, 3, 96.0, 1000.0);
+        for (node, cpu_a, cpu_b) in [(0, 95.0, 1.0), (1, 1.0, 95.0), (2, 1.0, 95.0)] {
+            load(&mut a, node, cpu_a);
+            load(&mut b, node, cpu_b);
+        }
+        let mut c = a.clone();
+        load(&mut a, 1, 94.0);
+        load(&mut c, 1, 0.5);
+        let s = spec(&a, 4.0, 10.0, 1);
+        let mut p = plb(5);
+        for ring in [&a, &b, &a, &c, &b, &c, &a] {
+            let mut fresh = Plb {
+                scratch: Scratch::default(),
+                ..p.clone()
+            };
+            assert_eq!(
+                p.place_new_service(ring, &s),
+                fresh.place_new_service(ring, &s)
+            );
+            assert_eq!(p.rng, fresh.rng);
+            assert_eq!(
+                p.scratch
+                    .ranked
+                    .iter()
+                    .map(|&(c, n)| (c.to_bits(), n))
+                    .collect::<Vec<_>>(),
+                fresh
+                    .scratch
+                    .ranked
+                    .iter()
+                    .map(|&(c, n)| (c.to_bits(), n))
+                    .collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
     fn plb_reused_across_ring_sizes_places_like_a_fresh_one() {
-        // The scan-order hint is sized to the last ring placed on; a
+        // The ranking cache is sized to the last ring placed on; a
         // smaller ring would index past its nodes and a larger one would
-        // go unscanned unless the hint resets to id order.
+        // go unranked unless the cache restarts from id order.
         let mut p = plb(9);
         for nodes in [300, 40, 300, 7] {
             let (mut c, _, _) = cluster_in_domains(nodes, 5, 96.0, 1000.0);

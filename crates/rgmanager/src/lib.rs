@@ -11,8 +11,10 @@
 //! The flow implemented here, faithful to §3.3:
 //!
 //! 1. Every 15 (simulated) minutes each RgManager re-reads the model XML
-//!    from the Naming Service and recompiles its model objects when the
-//!    version changed.
+//!    from the Naming Service and loads new model objects when the
+//!    version changed. A blob version is parsed and compiled once per
+//!    experiment: the first RgManager to see it fills a [`ModelCache`]
+//!    and every other node's RgManager shares the compiled set.
 //! 2. On a metric report request, if no model covers `(resource, edition)`
 //!    the *actual* load is returned — the normal operating behaviour.
 //! 3. Non-persisted metrics keep their previous reported value in
@@ -28,7 +30,9 @@
 
 pub mod governance;
 
-use toto_fabric::naming::NamingService;
+use std::sync::Arc;
+
+use toto_fabric::naming::{NamingService, Value};
 use toto_models::compiled::{CompiledModelSet, ReplicaRoleKind, SampleContext};
 use toto_simcore::collections::{det_hash_map, DetHashMap};
 use toto_simcore::time::SimTime;
@@ -77,12 +81,53 @@ pub struct ReportRequest {
     pub actual_load: f64,
 }
 
+/// The outcome of the latest model blob version any RgManager of one
+/// experiment read: its compiled set, or `None` when the blob was not a
+/// valid model XML. Lives beside the experiment's [`NamingService`],
+/// whose blob versions key it, so one parse and compile serves every
+/// node.
+#[derive(Clone, Debug, Default)]
+pub struct ModelCache {
+    latest: Option<(u64, Option<Arc<CompiledModelSet>>)>,
+    parses: u64,
+}
+
+impl ModelCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of blobs parsed so far (one per blob version read).
+    pub fn parses(&self) -> u64 {
+        self.parses
+    }
+
+    /// The compiled models of blob version `version`, parsing and
+    /// compiling `blob` unless this version was the last one seen.
+    fn compiled(&mut self, blob: &Value, version: u64) -> Option<Arc<CompiledModelSet>> {
+        match &self.latest {
+            Some((seen, models)) if *seen == version => models.clone(),
+            _ => {
+                self.parses += 1;
+                let models = blob
+                    .as_text()
+                    .and_then(|xml| ModelSetSpec::from_xml_str(xml).ok())
+                    .map(|spec| Arc::new(CompiledModelSet::compile(&spec)));
+                self.latest = Some((version, models.clone()));
+                models
+            }
+        }
+    }
+}
+
 /// A per-node RgManager instance.
 #[derive(Clone, Debug)]
 pub struct RgManager {
     node: u32,
-    models: Option<CompiledModelSet>,
-    last_version: Option<u64>,
+    /// The loaded model set, shared with every RgManager that loaded the
+    /// same blob version.
+    models: Option<Arc<CompiledModelSet>>,
     /// Previous reported values for non-persisted metrics: one slot per
     /// replica, indexed by [`ResourceKind::index`]. Lives and dies with
     /// this RgManager instance. Nothing iterates it, so the hash order
@@ -103,7 +148,6 @@ impl RgManager {
         RgManager {
             node,
             models: None,
-            last_version: None,
             mem_state: det_hash_map(),
             refresh_count: 0,
             key_scratch: String::new(),
@@ -118,7 +162,7 @@ impl RgManager {
 
     /// The model-set version currently loaded.
     pub fn loaded_version(&self) -> Option<u64> {
-        self.last_version
+        self.models.as_ref().map(|m| m.version())
     }
 
     /// Number of refresh cycles performed.
@@ -126,11 +170,13 @@ impl RgManager {
         self.refresh_count
     }
 
-    /// Re-read the model XML from the Naming Service, recompiling when
-    /// the version changed (§3.3.1's 15-minute refresh). Returns `true`
-    /// if the models were (re)compiled. A missing or malformed blob keeps
-    /// the previously loaded models.
-    pub fn refresh_models(&mut self, naming: &mut NamingService) -> bool {
+    /// Re-read the model XML from the Naming Service, loading new models
+    /// when the version changed (§3.3.1's 15-minute refresh). Returns
+    /// `true` if new models were loaded. A missing or malformed blob
+    /// keeps the previously loaded models. The blob is parsed and
+    /// compiled through `cache`, so RgManagers sharing one cache compile
+    /// each blob version once between them.
+    pub fn refresh_models(&mut self, naming: &mut NamingService, cache: &mut ModelCache) -> bool {
         self.refresh_count += 1;
         let Some((blob, blob_version)) = naming.get_versioned(MODEL_KEY) else {
             return false;
@@ -142,22 +188,24 @@ impl RgManager {
             return false;
         }
         self.seen_blob_version = Some(blob_version);
-        let Some(Ok(spec)) = blob.as_text().map(ModelSetSpec::from_xml_str) else {
+        let Some(models) = cache.compiled(blob, blob_version) else {
             return false;
         };
-        if self.last_version == Some(spec.version) {
+        let version = models.version();
+        if self.loaded_version() == Some(version) {
             return false;
         }
-        self.models = Some(CompiledModelSet::compile(&spec));
-        self.last_version = Some(spec.version);
+        self.models = Some(models);
         debug_assert!(
-            self.models.is_some() && self.last_version == Some(spec.version),
-            "refresh_models left models and version out of sync"
+            matches!(&cache.latest, Some((v, Some(shared)))
+                if *v == blob_version
+                    && self.models.as_ref().is_some_and(|m| Arc::ptr_eq(m, shared))),
+            "refresh_models loaded a model set the cache does not share"
         );
         toto_trace::emit(toto_trace::EventKind::ModelRefresh, || {
             toto_trace::EventBody::ModelRefresh {
                 node: u64::from(self.node),
-                version: spec.version,
+                version,
             }
         });
         true
@@ -257,7 +305,7 @@ impl RgManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use toto_fabric::naming::Value;
+    use toto_fabric::naming::NamingStats;
     use toto_spec::model::{
         HourlyTable, MetricModelSpec, ModelSetSpec, SteadyStateSpec, TargetPopulation,
     };
@@ -309,9 +357,10 @@ mod tests {
     #[test]
     fn uncovered_metric_falls_through_to_actual() {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 0.5, true));
         let mut rg = RgManager::new(0);
-        assert!(rg.refresh_models(&mut naming));
+        assert!(rg.refresh_models(&mut naming, &mut cache));
         let mut req = request(1, 1, ReplicaRoleKind::Primary, 1200);
         req.resource = ResourceKind::Memory;
         assert_eq!(rg.compute_report(&mut naming, &req), 7.5);
@@ -320,13 +369,14 @@ mod tests {
     #[test]
     fn refresh_only_recompiles_on_version_change() {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         let mut rg = RgManager::new(0);
-        assert!(!rg.refresh_models(&mut naming)); // nothing written yet
+        assert!(!rg.refresh_models(&mut naming, &mut cache)); // nothing written yet
         naming.write(MODEL_KEY, disk_model_xml(1, 0.5, true));
-        assert!(rg.refresh_models(&mut naming));
-        assert!(!rg.refresh_models(&mut naming)); // same version
+        assert!(rg.refresh_models(&mut naming, &mut cache));
+        assert!(!rg.refresh_models(&mut naming, &mut cache)); // same version
         naming.write(MODEL_KEY, disk_model_xml(2, 0.5, true));
-        assert!(rg.refresh_models(&mut naming));
+        assert!(rg.refresh_models(&mut naming, &mut cache));
         assert_eq!(rg.loaded_version(), Some(2));
         assert_eq!(rg.refresh_count(), 4);
     }
@@ -334,11 +384,12 @@ mod tests {
     #[test]
     fn malformed_blob_keeps_old_models() {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 0.5, true));
         let mut rg = RgManager::new(0);
-        assert!(rg.refresh_models(&mut naming));
+        assert!(rg.refresh_models(&mut naming, &mut cache));
         naming.write(MODEL_KEY, "<broken");
-        assert!(!rg.refresh_models(&mut naming));
+        assert!(!rg.refresh_models(&mut naming, &mut cache));
         assert_eq!(rg.loaded_version(), Some(1));
         // Reports still work off the old models.
         let v = rg.compute_report(&mut naming, &request(1, 1, ReplicaRoleKind::Primary, 1200));
@@ -348,9 +399,10 @@ mod tests {
     #[test]
     fn persisted_metric_round_trips_naming_service() {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg = RgManager::new(0);
-        rg.refresh_models(&mut naming);
+        rg.refresh_models(&mut naming, &mut cache);
         let v1 = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
         assert!((v1 - 1.0).abs() < 1e-12);
         let v2 = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 2400));
@@ -366,11 +418,12 @@ mod tests {
     #[test]
     fn secondary_reads_persisted_value_without_executing() {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg0 = RgManager::new(0);
         let mut rg1 = RgManager::new(1);
-        rg0.refresh_models(&mut naming);
-        rg1.refresh_models(&mut naming);
+        rg0.refresh_models(&mut naming, &mut cache);
+        rg1.refresh_models(&mut naming, &mut cache);
         // Primary on node 0 reports twice.
         rg0.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
         rg0.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 2400));
@@ -389,11 +442,12 @@ mod tests {
         // The §3.3.2 guarantee: after failover the newly promoted primary
         // has the same disk usage as the previous primary.
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg0 = RgManager::new(0);
         let mut rg1 = RgManager::new(1);
-        rg0.refresh_models(&mut naming);
-        rg1.refresh_models(&mut naming);
+        rg0.refresh_models(&mut naming, &mut cache);
+        rg1.refresh_models(&mut naming, &mut cache);
         for i in 1..=5 {
             rg0.compute_report(
                 &mut naming,
@@ -408,11 +462,12 @@ mod tests {
     #[test]
     fn non_persisted_metric_resets_on_failover() {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, false));
         let mut rg0 = RgManager::new(0);
         let mut rg1 = RgManager::new(1);
-        rg0.refresh_models(&mut naming);
-        rg1.refresh_models(&mut naming);
+        rg0.refresh_models(&mut naming, &mut cache);
+        rg1.refresh_models(&mut naming, &mut cache);
         for i in 1..=4 {
             rg0.compute_report(
                 &mut naming,
@@ -431,9 +486,10 @@ mod tests {
     #[test]
     fn clear_persisted_state_removes_keys() {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg = RgManager::new(0);
-        rg.refresh_models(&mut naming);
+        rg.refresh_models(&mut naming, &mut cache);
         rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
         assert!(naming
             .get(&persisted_state_key(ResourceKind::Disk, 9))
@@ -450,9 +506,10 @@ mod tests {
         // Service, and text seeded with `{:?}` must parse back to the
         // bits it was formatted from.
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1_234.567_890_123_456_7, true));
         let mut rg = RgManager::new(0);
-        rg.refresh_models(&mut naming);
+        rg.refresh_models(&mut naming, &mut cache);
         let v = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
         let key = persisted_state_key(ResourceKind::Disk, 9);
         let Some(&Value::Num(stored)) = naming.get(&key) else {
@@ -469,5 +526,98 @@ mod tests {
             &request(2, 9, ReplicaRoleKind::Secondary, 2400),
         );
         assert_eq!(secondary.to_bits(), v.to_bits(), "{secondary} vs {v}");
+    }
+
+    /// Drive `nodes` RgManagers through a model blob's life: version 1,
+    /// an unchanged refresh, a malformed rewrite, version 2, with a
+    /// round of reports after each refresh. `shared` routes every
+    /// refresh through one cache, as an experiment does; otherwise each
+    /// RgManager compiles for itself. Returns the trace bytes, the
+    /// report bits, the Naming stats and the parse count.
+    fn drive_nodes(nodes: u32, shared: bool) -> (Vec<u8>, Vec<u64>, NamingStats, u64) {
+        let sink = toto_trace::Shared::new(toto_trace::BufferSink::new());
+        let guard = toto_trace::SessionGuard::install(Box::new(sink.clone()));
+        let mut naming = NamingService::new();
+        let mut caches = vec![ModelCache::new(); if shared { 1 } else { nodes as usize }];
+        let mut rgs: Vec<RgManager> = (0..nodes).map(RgManager::new).collect();
+        let mut reports = Vec::new();
+        let blobs = [
+            Some(disk_model_xml(1, 1.0, false)),
+            None,
+            Some("<broken".to_string()),
+            Some(disk_model_xml(2, 3.0, false)),
+        ];
+        for (step, blob) in blobs.into_iter().enumerate() {
+            if let Some(blob) = blob {
+                naming.write(MODEL_KEY, blob);
+            }
+            for (i, rg) in rgs.iter_mut().enumerate() {
+                let cache = &mut caches[if shared { 0 } else { i }];
+                rg.refresh_models(&mut naming, cache);
+                let now = 1200 * (step as u64 + 1);
+                let req = request(u64::from(rg.node()), 9, ReplicaRoleKind::Primary, now);
+                reports.push(rg.compute_report(&mut naming, &req).to_bits());
+            }
+        }
+        drop(guard);
+        let trace = sink.with(|b| b.bytes().to_vec());
+        let parses = caches.iter().map(ModelCache::parses).sum();
+        (trace, reports, naming.stats(), parses)
+    }
+
+    #[test]
+    fn shared_compile_reports_like_separate_compiles() {
+        let (shared_trace, shared_reports, shared_stats, shared_parses) = drive_nodes(5, true);
+        let (own_trace, own_reports, own_stats, own_parses) = drive_nodes(5, false);
+        assert_eq!(shared_reports, own_reports);
+        assert_eq!(shared_stats, own_stats, "Naming reads and writes");
+        assert_eq!(shared_trace, own_trace, "ModelRefresh and report events");
+        let file = toto_trace::codec::decode(&shared_trace).unwrap();
+        let summary = toto_trace::report::summarize(&file);
+        assert_eq!(summary.by_kind.get("model_refresh").copied(), Some(10));
+        // Three blob versions: one parse each when shared, one per node
+        // and version otherwise.
+        assert_eq!(shared_parses, 3);
+        assert_eq!(own_parses, 15);
+    }
+
+    #[test]
+    fn malformed_blob_is_parsed_once_and_every_node_keeps_its_models() {
+        let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
+        let mut rgs: Vec<RgManager> = (0..4).map(RgManager::new).collect();
+        naming.write(MODEL_KEY, disk_model_xml(1, 0.5, true));
+        for rg in &mut rgs {
+            assert!(rg.refresh_models(&mut naming, &mut cache));
+        }
+        naming.write(MODEL_KEY, "<broken");
+        for rg in &mut rgs {
+            assert!(!rg.refresh_models(&mut naming, &mut cache));
+            assert_eq!(rg.loaded_version(), Some(1));
+        }
+        assert_eq!(cache.parses(), 2, "the malformed blob is parsed once");
+        let first = rgs[0].models.as_ref().unwrap();
+        assert!(rgs
+            .iter()
+            .all(|rg| Arc::ptr_eq(rg.models.as_ref().unwrap(), first)));
+    }
+
+    #[test]
+    fn rewritten_blob_compiles_exactly_once_more() {
+        let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
+        let mut rgs: Vec<RgManager> = (0..4).map(RgManager::new).collect();
+        naming.write(MODEL_KEY, disk_model_xml(1, 0.5, true));
+        for rg in &mut rgs {
+            rg.refresh_models(&mut naming, &mut cache);
+            rg.refresh_models(&mut naming, &mut cache);
+        }
+        assert_eq!(cache.parses(), 1);
+        naming.write(MODEL_KEY, disk_model_xml(2, 0.5, true));
+        for rg in &mut rgs {
+            assert!(rg.refresh_models(&mut naming, &mut cache));
+            assert_eq!(rg.loaded_version(), Some(2));
+        }
+        assert_eq!(cache.parses(), 2, "one compile for the new version");
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use toto_fabric::naming::{NamingService, Value};
 use toto_models::compiled::ReplicaRoleKind;
-use toto_rgmanager::{persisted_state_key, ReportRequest, RgManager, MODEL_KEY};
+use toto_rgmanager::{persisted_state_key, ModelCache, ReportRequest, RgManager, MODEL_KEY};
 use toto_simcore::time::SimTime;
 use toto_spec::model::{
     HourlyTable, MetricModelSpec, ModelSetSpec, SteadyStateSpec, TargetPopulation,
@@ -55,9 +55,10 @@ proptest! {
         steps in 1usize..20,
     ) {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, model_xml(mu, sigma, true));
         let mut rg = RgManager::new(0);
-        rg.refresh_models(&mut naming);
+        rg.refresh_models(&mut naming, &mut cache);
         for i in 1..=steps {
             let v = rg.compute_report(
                 &mut naming,
@@ -74,9 +75,10 @@ proptest! {
         steps in 1usize..10,
     ) {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, model_xml(mu, 0.3, true));
         let mut rg = RgManager::new(0);
-        rg.refresh_models(&mut naming);
+        rg.refresh_models(&mut naming, &mut cache);
         let mut last = 0.0;
         for i in 1..=steps {
             last = rg.compute_report(
@@ -88,7 +90,7 @@ proptest! {
         prop_assert_eq!(stored, Some(&Value::Num(last)), "primary persists a number");
         // Any secondary on any node reports exactly the stored value.
         let mut rg2 = RgManager::new(7);
-        rg2.refresh_models(&mut naming);
+        rg2.refresh_models(&mut naming, &mut cache);
         let v = rg2.compute_report(
             &mut naming,
             &request(service, ReplicaRoleKind::Secondary, 1200 * (steps as u64 + 1), 0.0),
@@ -99,9 +101,10 @@ proptest! {
     #[test]
     fn actual_load_passes_through_unmodeled_metrics(actual in 0.0f64..1e6, service: u64) {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, model_xml(1.0, 0.0, true));
         let mut rg = RgManager::new(0);
-        rg.refresh_models(&mut naming);
+        rg.refresh_models(&mut naming, &mut cache);
         let mut req = request(service, ReplicaRoleKind::Primary, 1200, actual);
         req.resource = ResourceKind::Memory; // no memory model in the set
         prop_assert_eq!(rg.compute_report(&mut naming, &req), actual);
@@ -110,9 +113,10 @@ proptest! {
     #[test]
     fn forgetting_resets_nonpersisted_state(mu in 0.5f64..2.0, service: u64) {
         let mut naming = NamingService::new();
+        let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, model_xml(mu, 0.0, false));
         let mut rg = RgManager::new(0);
-        rg.refresh_models(&mut naming);
+        rg.refresh_models(&mut naming, &mut cache);
         let grown = (1..=5).fold(0.0, |_, i| {
             rg.compute_report(
                 &mut naming,

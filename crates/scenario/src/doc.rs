@@ -179,6 +179,30 @@ const KNOWN_SECTIONS: &[&str] = &[
 
 const KNOWN_TABLES: &[&str] = &["workload.cohort", "workload.spike", "region.ring"];
 
+/// A TOML number read as a `u64`: an integer literal in range, or a
+/// float literal that is an integer below 2^64 (`42.0`). Integer
+/// literals are exact at every width; `None` for anything else.
+fn uint_of(value: &Value) -> Option<u64> {
+    match *value {
+        Value::Int(i) => u64::try_from(i).ok(),
+        // Deliberate exact check: an integer-valued literal has an exact
+        // fract() of 0.0; any epsilon would admit "42.0001". `u64::MAX
+        // as f64` is 2^64, one past the range.
+        // toto-lint: allow(D006)
+        Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64 => Some(n as u64),
+        _ => None,
+    }
+}
+
+/// A value as an error message quotes it: numbers as written.
+fn number_text(value: &Value) -> String {
+    match value {
+        Value::Int(i) => i.to_string(),
+        Value::Num(n) => n.to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
 /// Typed accessors over a raw table that consume keys, so leftovers can
 /// be rejected as unknown.
 struct Keys {
@@ -219,6 +243,10 @@ impl Keys {
                 value: Value::Num(n),
                 ..
             }) => Ok(Some(n)),
+            Some(Entry {
+                value: Value::Int(i),
+                ..
+            }) => Ok(Some(i as f64)),
             Some(entry) => Err(ScenarioError::invalid(format!(
                 "line {}: `{key}` in [{}] must be a number",
                 entry.line, self.section
@@ -227,15 +255,21 @@ impl Keys {
     }
 
     fn take_uint(&mut self, key: &str) -> Result<Option<u64>, ScenarioError> {
-        match self.take_num(key)? {
-            None => Ok(None),
-            // Deliberate exact check: an integer-valued literal has an
-            // exact fract() of 0.0; any epsilon would admit "42.0001".
-            // toto-lint: allow(D006)
-            Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Ok(Some(n as u64)),
-            Some(n) => Err(ScenarioError::invalid(format!(
-                "`{key}` in [{}] must be a non-negative integer, got {n}",
-                self.section
+        let Some(entry) = self.take(key) else {
+            return Ok(None);
+        };
+        match entry.value {
+            Value::Int(_) | Value::Num(_) => uint_of(&entry.value).map(Some).ok_or_else(|| {
+                ScenarioError::invalid(format!(
+                    "`{key}` in [{}] must be an integer from 0 to {}, got {}",
+                    self.section,
+                    u64::MAX,
+                    number_text(&entry.value)
+                ))
+            }),
+            _ => Err(ScenarioError::invalid(format!(
+                "line {}: `{key}` in [{}] must be a number",
+                entry.line, self.section
             ))),
         }
     }
@@ -284,15 +318,16 @@ impl Keys {
         };
         let mut out = Vec::with_capacity(items.len());
         for item in items {
-            match item {
-                // Same deliberate exact integer-literal guard as take_uint.
-                // toto-lint: allow(D006)
-                Value::Num(n) if n >= 0.0 && n.fract() == 0.0 => out.push(n as u64),
-                other => {
+            match uint_of(&item) {
+                Some(n) => out.push(n),
+                None => {
                     return Err(ScenarioError::invalid(format!(
-                    "line {}: `{key}` in [{}] must contain non-negative integers, got {other:?}",
-                    entry.line, self.section
-                )))
+                        "line {}: `{key}` in [{}] must contain integers from 0 to {}, got {}",
+                        entry.line,
+                        self.section,
+                        u64::MAX,
+                        number_text(&item)
+                    )))
                 }
             }
         }

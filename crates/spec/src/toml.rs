@@ -36,8 +36,11 @@ impl std::error::Error for TomlError {}
 pub enum Value {
     /// `"quoted"`.
     Str(String),
-    /// Integer or float literal (all numbers parse as `f64`; the typed
-    /// layer re-checks integrality where it matters).
+    /// Integer literal (`42`, `-3`, `1_000`), held exactly; the typed
+    /// layer range-checks it and reads it as `f64` where a float is
+    /// expected.
+    Int(i128),
+    /// Float literal (`0.5`, `1e3`), or an integer literal past `i128`.
     Num(f64),
     /// `true` / `false`.
     Bool(bool),
@@ -282,7 +285,11 @@ fn parse_scalar(text: &str) -> Option<Value> {
     if !numeric || text.is_empty() {
         return None;
     }
-    text.replace('_', "").parse::<f64>().ok().map(Value::Num)
+    let text = text.replace('_', "");
+    match text.parse::<i128>() {
+        Ok(int) => Some(Value::Int(int)),
+        Err(_) => text.parse::<f64>().ok().map(Value::Num),
+    }
 }
 
 #[cfg(test)]
@@ -318,16 +325,16 @@ weight = 1.0
         .expect("parses");
         let (_, scenario) = &doc.sections["scenario"];
         assert_eq!(scenario["name"].value, Value::Str("density-sweep".into()));
-        assert_eq!(scenario["seed"].value, Value::Num(42.0));
+        assert_eq!(scenario["seed"].value, Value::Int(42));
         assert_eq!(scenario["trace"].value, Value::Bool(false));
         let (_, schedule) = &doc.sections["schedule"];
         assert_eq!(
             schedule["densities"].value,
             Value::Arr(vec![
-                Value::Num(100.0),
-                Value::Num(110.0),
-                Value::Num(120.0),
-                Value::Num(140.0)
+                Value::Int(100),
+                Value::Int(110),
+                Value::Int(120),
+                Value::Int(140)
             ])
         );
         assert_eq!(doc.tables["workload.cohort"].len(), 2);

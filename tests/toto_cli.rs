@@ -50,6 +50,12 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
         "[scenario]\nname = \"wide\"\nkind = \"pools\"\nhours = 1\n\
          [pools]\nmembers = 4294967316\n",
     );
+    // 2^64: a float read saturates it to `u64::MAX` and runs.
+    let wide_seed = file(
+        "wide-seed.toml",
+        "[scenario]\nname = \"wide\"\nkind = \"fleet\"\nhours = 1\n\
+         seed = 18446744073709551616\n[schedule]\ndensities = [100]\n",
+    );
     let out = dir.join("out").display().to_string();
     let missing = dir.join("missing.toml").display().to_string();
 
@@ -106,6 +112,11 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
             vec!["run", &wide_members, "--out", &out],
             2,
         ),
+        (
+            "[scenario] seed past u64",
+            vec!["run", &wide_seed, "--out", &out],
+            2,
+        ),
         ("oracle gate fails", vec!["run", &misfit, "--out", &out], 1),
     ];
     for (what, argv, expected) in cases {
@@ -119,5 +130,38 @@ fn bad_input_exits_2_and_failed_runs_exit_1_without_panicking() {
         "a rejected or gated run writes nothing"
     );
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_seed_past_2_pow_53_runs_as_written() {
+    // 2^53 + 1 is the first integer an `f64` cannot hold: read as a
+    // float it would run, and record, the seed 2^53.
+    let dir = std::env::temp_dir().join(format!("toto-cli-seed-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let scenario = dir.join("seed.toml");
+    fs::write(
+        &scenario,
+        "[scenario]\nname = \"seed\"\nkind = \"fleet\"\nhours = 1\n\
+         seed = 9007199254740993\n[schedule]\ndensities = [100]\n",
+    )
+    .expect("write input");
+    let out = dir.join("out");
+    let argv: Vec<String> = [
+        "run",
+        &scenario.display().to_string(),
+        "--out",
+        &out.display().to_string(),
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    assert_eq!(toto_scenario::cli::main(&argv), 0);
+    let manifest = fs::read_to_string(out.join("runs/seed/manifest.json")).expect("manifest");
+    assert!(
+        manifest.contains("\"root_seed\": 9007199254740993"),
+        "{manifest}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
