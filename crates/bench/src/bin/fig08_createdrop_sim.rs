@@ -4,7 +4,7 @@
 //! simulated envelope brackets the trace and the mean of the 100 runs
 //! nearly overlaps it.
 
-use toto_bench::{render_table, BenchArgs};
+use toto_bench::{outputs, render_table, BenchArgs};
 use toto_fleet::{FleetTask, StderrProgress};
 use toto_models::createdrop::CreateDropModel;
 use toto_models::training::train_hourly_table;
@@ -78,15 +78,8 @@ fn main() {
         })
         .collect();
     let report = args.executor().run(&tasks, &StderrProgress);
-    assert!(report.all_completed(), "sampling tasks cannot fail");
-    let (sim_creates, sim_drops): (Vec<Vec<f64>>, Vec<Vec<f64>>) = report
-        .jobs
-        .into_iter()
-        .map(|job| match job.outcome {
-            toto_fleet::JobOutcome::Completed(series) => series,
-            other => panic!("{} did not complete: {}", job.label, other.status()),
-        })
-        .unzip();
+    let (sim_creates, sim_drops): (Vec<Vec<f64>>, Vec<Vec<f64>>) =
+        outputs(report).into_iter().unzip();
 
     println!("Figure 8 — production trace vs 100 simulated runs (daily totals)\n");
     let mut rows = Vec::new();

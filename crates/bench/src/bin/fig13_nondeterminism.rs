@@ -6,7 +6,7 @@
 //! of 1 / 0 / 1.
 
 use toto::experiment::ExperimentOverrides;
-use toto_bench::{render_table, BenchArgs};
+use toto_bench::{outputs, render_table, BenchArgs};
 use toto_fleet::{FleetPlan, StderrProgress};
 use toto_spec::ScenarioSpec;
 use toto_stats::describe::five_number_summary;
@@ -32,11 +32,8 @@ fn main() {
     }
     let report = args.executor().run(plan.jobs(), &StderrProgress);
     let mut runs = Vec::new();
-    for (i, job) in report.jobs.into_iter().enumerate() {
-        let r = match job.outcome {
-            toto_fleet::JobOutcome::Completed(out) => out.result,
-            other => panic!("{} did not complete: {}", job.label, other.status()),
-        };
+    for (i, out) in outputs(report).into_iter().enumerate() {
+        let r = out.result;
         println!(
             "experiment {} (plb seed {}): {} failovers",
             i + 1,

@@ -15,7 +15,7 @@
 
 use toto::defaults::gen5_model_set;
 use toto::experiment::ExperimentOverrides;
-use toto_bench::{render_table, BenchArgs, DENSITIES};
+use toto_bench::{outputs, render_table, BenchArgs, DENSITIES};
 use toto_fleet::{FleetPlan, StderrProgress};
 use toto_spec::model::HourlyTable;
 use toto_spec::{ResourceKind, ScenarioSpec};
@@ -75,14 +75,7 @@ fn main() {
         plan_mix(&mut plan, &format!("mix{i}"), peak, sigma, &args);
     }
     let report = args.executor().run(plan.jobs(), &StderrProgress);
-    let results: Vec<_> = report
-        .jobs
-        .into_iter()
-        .map(|job| match job.outcome {
-            toto_fleet::JobOutcome::Completed(out) => out.result,
-            other => panic!("{} did not complete: {}", job.label, other.status()),
-        })
-        .collect();
+    let results: Vec<_> = outputs(report).into_iter().map(|out| out.result).collect();
 
     for (i, &(label, _, _)) in mixes.iter().enumerate() {
         println!("{label}\n");

@@ -1,13 +1,16 @@
 //! Experiment drivers for the Toto reproduction.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`. This
-//! library holds what they share: command-line conventions
-//! ([`BenchArgs`]), running the four-density study as a parallel fleet,
-//! rendering aligned text tables, and the PLB fixtures `benchtrack` times.
+//! The drivers live in `src/bin/`: `density_study` prints every artifact
+//! of the paper's §5 density study, the others one table, figure, study
+//! or ablation each. This library holds what they share: command-line
+//! conventions ([`BenchArgs`]), running the four-density study as a
+//! parallel fleet and checking the paper's claims on it
+//! ([`density_claims`]), rendering aligned text tables, and the PLB
+//! fixtures `benchtrack` times.
 
 use toto::experiment::{run_end, ExperimentOverrides, ExperimentResult};
-use toto_fleet::{FleetExecutor, FleetPlan, StderrProgress};
-use toto_spec::ScenarioSpec;
+use toto_fleet::{FleetExecutor, FleetPlan, FleetReport, JobOutcome, JobReport, StderrProgress};
+use toto_spec::{EditionKind, ScenarioSpec};
 
 pub mod fixtures;
 
@@ -22,8 +25,6 @@ pub const DENSITIES: [u32; 4] = [100, 110, 120, 140];
 /// ```text
 /// --hours N     simulated duration override (default: the paper's 144)
 /// --threads T   fleet worker threads (default: all available cores)
-/// --seed S      root seed override for drivers that take one
-/// --out DIR     run-artifact directory for drivers that persist results
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchArgs {
@@ -31,14 +32,10 @@ pub struct BenchArgs {
     pub hours: Option<u64>,
     /// `--threads T`; defaults to all available cores.
     pub threads: usize,
-    /// `--seed S`; `None` means the driver's built-in seed.
-    pub seed: Option<u64>,
-    /// `--out DIR`; `None` means the driver's default (usually `results`).
-    pub out: Option<String>,
 }
 
 /// The usage line printed when a driver rejects its flags.
-const USAGE: &str = "usage: <driver> [--hours N] [--threads T] [--seed S] [--out DIR]";
+const USAGE: &str = "usage: <driver> [--hours N] [--threads T]";
 
 impl BenchArgs {
     /// Parse from the process arguments; on a malformed flag, print the
@@ -55,8 +52,6 @@ impl BenchArgs {
         let mut args = BenchArgs {
             hours: None,
             threads: default_threads(),
-            seed: None,
-            out: None,
         };
         let mut iter = argv.into_iter();
         while let Some(flag) = iter.next() {
@@ -64,8 +59,6 @@ impl BenchArgs {
             match flag.as_str() {
                 "--hours" => args.hours = Some(integer(&flag, value()?)?),
                 "--threads" => args.threads = integer(&flag, value()?)?,
-                "--seed" => args.seed = Some(integer(&flag, value()?)?),
-                "--out" => args.out = Some(value()?),
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -118,37 +111,107 @@ pub fn density_study_plan(duration_hours: Option<u64>) -> FleetPlan {
 }
 
 /// Run the full §5 density study: four 6-day experiments, executed as a
-/// parallel fleet on all available cores (the four jobs are mutually
+/// parallel fleet on `threads` workers (the four jobs are mutually
 /// independent; per-experiment determinism is unchanged).
 ///
-/// `duration_hours` overrides the 144-hour default (the figure binaries
-/// accept `--hours N` for quick runs). Results come back in density
+/// `duration_hours` overrides the 144-hour default (`density_study`
+/// accepts `--hours N` for quick runs). Results come back in density
 /// order, exactly as the historical serial loop produced them.
-pub fn run_density_study(duration_hours: Option<u64>) -> Vec<ExperimentResult> {
-    run_density_study_on(duration_hours, default_threads())
-}
-
-/// [`run_density_study`] with an explicit worker count.
-pub fn run_density_study_on(duration_hours: Option<u64>, threads: usize) -> Vec<ExperimentResult> {
+pub fn run_density_study(duration_hours: Option<u64>, threads: usize) -> Vec<ExperimentResult> {
     let plan = density_study_plan(duration_hours);
     let report = FleetExecutor::new(threads).run(plan.jobs(), &StderrProgress);
-    report
-        .jobs
-        .into_iter()
-        .map(|job| match job.outcome {
-            toto_fleet::JobOutcome::Completed(out) => out.result,
-            other => panic!(
-                "density job {} did not complete: {}",
-                job.label,
-                other.status()
-            ),
-        })
-        .collect()
+    outputs(report).into_iter().map(|out| out.result).collect()
+}
+
+/// Every job's output in submission order. A driver's jobs are expected
+/// to complete, so a failed or cancelled job panics with its label.
+pub fn outputs<O>(report: FleetReport<O>) -> Vec<O> {
+    let output = |job: JobReport<O>| match job.outcome {
+        JobOutcome::Completed(out) => out,
+        other => panic!("{} did not complete: {}", job.label, other.status()),
+    };
+    report.jobs.into_iter().map(output).collect()
+}
+
+/// The paper's shape claims about the density study (EXPERIMENTS.md),
+/// each judged on one study's four results in density order. Every
+/// claim is named with the artifact it belongs to.
+pub fn density_claims(results: &[ExperimentResult]) -> Vec<(&'static str, bool)> {
+    let [r100, r110, r120, r140] = results else {
+        panic!("one result per density level, got {}", results.len());
+    };
+    let others = [r100, r110, r120];
+    let pairwise = |ok: &dyn Fn(&ExperimentResult, &ExperimentResult) -> bool| {
+        results.windows(2).all(|w| ok(&w[0], &w[1]))
+    };
+    // Bootstrap places big databases first, and "big" is relative to the
+    // density-scaled core capacity, so only the placement order differs.
+    let population = |r: &ExperimentResult| {
+        let mut dbs: Vec<(usize, f64)> = r.bootstrap.services.iter().map(|s| (s.2, s.3)).collect();
+        dbs.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        dbs
+    };
+    let disk_percent =
+        |r: &ExperimentResult| format!("{:.0}", r.bootstrap.disk_utilization * 100.0);
+    let first_redirect = |r: &ExperimentResult| r.first_redirect_hour.unwrap_or(u64::MAX);
+    let moved = |r: &ExperimentResult| r.telemetry.failed_over_cores(None);
+    let moved_bc =
+        |r: &ExperimentResult| r.telemetry.failed_over_cores(Some(EditionKind::PremiumBc));
+    let revenue = |r: &ExperimentResult| r.revenue.adjusted();
+    let penalty = |r: &ExperimentResult| r.revenue.penalty;
+    vec![
+        (
+            "Table 3: identical population across densities",
+            results.iter().all(|r| population(r) == population(r100)),
+        ),
+        (
+            "Table 3: free cores strictly increasing with density",
+            pairwise(&|a, b| a.bootstrap.free_cores < b.bootstrap.free_cores),
+        ),
+        (
+            "Table 3: disk pinned at 77 %",
+            results.iter().all(|r| disk_percent(r) == "77"),
+        ),
+        (
+            "Figures 2 and 12(a): reserved cores rise strictly with density",
+            pairwise(&|a, b| a.final_reserved_cores < b.final_reserved_cores),
+        ),
+        (
+            "Figure 10: first redirects come no earlier as density rises",
+            pairwise(&|a, b| first_redirect(a) <= first_redirect(b)),
+        ),
+        (
+            "Figure 10: six-day redirect totals fall strictly with density",
+            pairwise(&|a, b| a.redirect_count > b.redirect_count),
+        ),
+        (
+            "Figure 11: end-of-run disk strictly ordered by density",
+            pairwise(&|a, b| a.final_disk_gb < b.final_disk_gb),
+        ),
+        (
+            "Figure 12(b): 140 % fails over more cores than every other run combined",
+            moved(r140) > others.iter().map(|r| moved(r)).sum::<f64>(),
+        ),
+        (
+            "Figure 12(b): 140 % fails over the most Premium/BC cores",
+            others.iter().all(|r| moved_bc(r140) > moved_bc(r)),
+        ),
+        (
+            "Figure 14: adjusted revenue rises 100 → 110 → 120 % and falls at 140 %",
+            revenue(r100) < revenue(r110)
+                && revenue(r110) < revenue(r120)
+                && revenue(r140) < revenue(r120),
+        ),
+        (
+            "Figure 14: the 140 % penalty is more than 60× every other run's",
+            others.iter().all(|r| penalty(r140) > 60.0 * penalty(r)),
+        ),
+    ]
 }
 
 /// Render rows as a fixed-width text table with a header rule.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+pub fn render_table(headers: &[impl AsRef<str>], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
@@ -158,7 +221,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     }
     let mut out = String::new();
     for (i, h) in headers.iter().enumerate() {
-        out.push_str(&format!("{:<w$}  ", h, w = widths[i]));
+        out.push_str(&format!("{:<w$}  ", h.as_ref(), w = widths[i]));
     }
     out.push('\n');
     for (i, _) in headers.iter().enumerate() {
@@ -198,24 +261,10 @@ mod tests {
 
     #[test]
     fn bench_args_parse_all_flags() {
-        let args = BenchArgs::parse_from(
-            [
-                "--hours",
-                "12",
-                "--threads",
-                "3",
-                "--seed",
-                "7",
-                "--out",
-                "tmp",
-            ]
-            .map(String::from),
-        )
-        .expect("valid flags");
+        let args = BenchArgs::parse_from(["--hours", "12", "--threads", "3"].map(String::from))
+            .expect("valid flags");
         assert_eq!(args.hours, Some(12));
         assert_eq!(args.threads, 3);
-        assert_eq!(args.seed, Some(7));
-        assert_eq!(args.out.as_deref(), Some("tmp"));
         assert_eq!(args.hours_or(144), 12);
     }
 
@@ -233,8 +282,10 @@ mod tests {
         assert_eq!(err, Err("unknown flag \"--hour\"".to_string()));
         let err = BenchArgs::parse_from(["--hours", "twelve"].map(String::from));
         assert!(err.unwrap_err().contains("--hours"));
-        let err = BenchArgs::parse_from(["--out".to_string()]);
-        assert_eq!(err, Err("--out requires a value".to_string()));
+        let err = BenchArgs::parse_from(["--seed", "7"].map(String::from));
+        assert_eq!(err, Err("unknown flag \"--seed\"".to_string()));
+        let err = BenchArgs::parse_from(["--hours".to_string()]);
+        assert_eq!(err, Err("--hours requires a value".to_string()));
     }
 
     #[test]
@@ -253,5 +304,22 @@ mod tests {
         assert_eq!(job.scenario.model_seed, defaults.model_seed);
         assert_eq!(job.scenario.plb_seed, defaults.plb_seed);
         assert_eq!(job.scenario.duration_hours, 6);
+    }
+
+    #[test]
+    fn the_pinned_density_study_keeps_every_paper_claim() {
+        let mut results = run_density_study(None, default_threads());
+        let holding = |results: &[ExperimentResult]| -> Vec<&str> {
+            density_claims(results)
+                .into_iter()
+                .filter_map(|(claim, holds)| holds.then_some(claim))
+                .collect()
+        };
+        let all: Vec<&str> = density_claims(&results).into_iter().map(|c| c.0).collect();
+        assert_eq!(holding(&results), all);
+        // The claims can fail: read backwards, the study keeps only the
+        // two that do not depend on the density order.
+        results.reverse();
+        assert_eq!(holding(&results), [all[0], all[2]]);
     }
 }
