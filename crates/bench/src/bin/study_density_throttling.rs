@@ -13,12 +13,10 @@
 //! densities (disk binds long before CPU); the second shows where the
 //! cliff would be if utilizations rose.
 
-use toto::defaults::gen5_model_set;
 use toto::experiment::ExperimentOverrides;
-use toto_bench::{outputs, render_table, BenchArgs, DENSITIES};
+use toto_bench::{cpu_mix_models, outputs, render_table, BenchArgs, DENSITIES};
 use toto_fleet::{FleetPlan, StderrProgress};
-use toto_spec::model::HourlyTable;
-use toto_spec::{ResourceKind, ScenarioSpec};
+use toto_spec::ScenarioSpec;
 
 /// Plan one utilization mix: one pinned job per density level, with the
 /// mix's CPU model substituted in.
@@ -28,24 +26,8 @@ fn plan_mix(plan: &mut FleetPlan, mix: &str, utilization_peak: f64, sigma: f64, 
         if let Some(h) = args.hours {
             scenario.duration_hours = h;
         }
-        let mut models = gen5_model_set(scenario.model_seed, scenario.report_period_secs);
-        for m in &mut models.models {
-            if m.resource == ResourceKind::Cpu {
-                let mut t = HourlyTable::constant(0.0, 0.0);
-                for h in 0..24 {
-                    let diurnal = 0.25
-                        + 0.75
-                            * (0.5
-                                + 0.5 * ((h as f64 - 14.0) / 24.0 * std::f64::consts::TAU).cos());
-                    let mu = utilization_peak * diurnal;
-                    t.cells[0][h] = (mu, sigma);
-                    t.cells[1][h] = (mu * 0.6, sigma * 0.7);
-                }
-                m.steady.hourly = t;
-            }
-        }
         let overrides = ExperimentOverrides {
-            models: Some(models),
+            models: Some(cpu_mix_models(&scenario, utilization_peak, sigma)),
             ..ExperimentOverrides::default()
         };
         plan.add_pinned(format!("{mix}-density-{density}"), scenario, overrides);

@@ -9,7 +9,6 @@
 //! goes unserved — with the governor's fair sharing vs a naive
 //! first-come allocation baseline.
 
-use std::collections::BTreeMap;
 use toto_bench::render_table;
 use toto_rgmanager::governance::{CpuDemand, NodeGovernor};
 use toto_simcore::rng::DetRng;
@@ -29,11 +28,11 @@ fn demand(rng: &mut DetRng, reserved: f64, hour: usize) -> f64 {
 
 /// Naive baseline: grant demands in replica-id order until the node is
 /// full — no guarantees, first come first served.
-fn naive_grant(physical: f64, demands: &BTreeMap<u64, CpuDemand>) -> (f64, f64) {
+fn naive_grant(physical: f64, demands: &[CpuDemand]) -> (f64, f64) {
     let mut left = physical;
     let mut throttled = 0.0;
     let mut guarantee_violations = 0.0;
-    for d in demands.values() {
+    for d in demands {
         let granted = d.demanded.min(left);
         left -= granted;
         throttled += d.demanded - granted;
@@ -58,24 +57,20 @@ fn main() {
         let mut naive_throttled = 0.0;
         let mut naive_violations = 0.0;
         let mut governed_guarantee_violations = 0.0;
+        let mut demands = Vec::new();
+        let mut grants = Vec::new();
         for i in 0..intervals {
             let hour = (i / 60) % 24;
-            let demands: BTreeMap<u64, CpuDemand> = (0..count)
-                .map(|id| {
-                    (
-                        id,
-                        CpuDemand {
-                            reserved: 4.0,
-                            demanded: demand(&mut rng, 4.0, hour),
-                        },
-                    )
-                })
-                .collect();
-            let grants = governor.govern(&demands);
-            for (id, d) in &demands {
+            demands.clear();
+            demands.extend((0..count).map(|_| CpuDemand {
+                reserved: 4.0,
+                demanded: demand(&mut rng, 4.0, hour),
+            }));
+            governor.govern(&demands, &mut grants);
+            for (d, grant) in demands.iter().zip(&grants) {
                 let floor = d.demanded.min(d.reserved) * (physical / reserved_total).min(1.0);
-                if grants[id].granted + 1e-9 < floor {
-                    governed_guarantee_violations += floor - grants[id].granted;
+                if grant.granted + 1e-9 < floor {
+                    governed_guarantee_violations += floor - grant.granted;
                 }
             }
             let (t, v) = naive_grant(physical, &demands);

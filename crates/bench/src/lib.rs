@@ -8,9 +8,11 @@
 //! ([`density_claims`]), rendering aligned text tables, and the PLB
 //! fixtures `benchtrack` times.
 
+use toto::defaults::gen5_model_set;
 use toto::experiment::{run_end, ExperimentOverrides, ExperimentResult};
 use toto_fleet::{FleetExecutor, FleetPlan, FleetReport, JobOutcome, JobReport, StderrProgress};
-use toto_spec::{EditionKind, ScenarioSpec};
+use toto_spec::model::{HourlyTable, ModelSetSpec};
+use toto_spec::{EditionKind, ResourceKind, ScenarioSpec};
 
 pub mod fixtures;
 
@@ -121,6 +123,28 @@ pub fn run_density_study(duration_hours: Option<u64>, threads: usize) -> Vec<Exp
     let plan = density_study_plan(duration_hours);
     let report = FleetExecutor::new(threads).run(plan.jobs(), &StderrProgress);
     outputs(report).into_iter().map(|out| out.result).collect()
+}
+
+/// The gen5 model set for `scenario` with its CPU-usage model replaced
+/// by a diurnal utilization mix: weekdays peak at `utilization_peak` of
+/// the reservation with spread `sigma`, weekends at 0.6 of both. The
+/// utilization mixes of `study_density_throttling`.
+pub fn cpu_mix_models(scenario: &ScenarioSpec, utilization_peak: f64, sigma: f64) -> ModelSetSpec {
+    let mut models = gen5_model_set(scenario.model_seed, scenario.report_period_secs);
+    for m in &mut models.models {
+        if m.resource == ResourceKind::Cpu {
+            let mut t = HourlyTable::constant(0.0, 0.0);
+            for h in 0..24 {
+                let diurnal = 0.25
+                    + 0.75 * (0.5 + 0.5 * ((h as f64 - 14.0) / 24.0 * std::f64::consts::TAU).cos());
+                let mu = utilization_peak * diurnal;
+                t.cells[0][h] = (mu, sigma);
+                t.cells[1][h] = (mu * 0.6, sigma * 0.7);
+            }
+            m.steady.hourly = t;
+        }
+    }
+    models
 }
 
 /// Every job's output in submission order. A driver's jobs are expected
@@ -304,6 +328,24 @@ mod tests {
         assert_eq!(job.scenario.model_seed, defaults.model_seed);
         assert_eq!(job.scenario.plb_seed, defaults.plb_seed);
         assert_eq!(job.scenario.duration_hours, 6);
+    }
+
+    #[test]
+    fn bursty_mix_throttling_is_pinned_bitwise() {
+        // The 140 % row of `study_density_throttling`'s bursty mix
+        // (results/study_density_throttling.txt prints 343 and 34). No
+        // golden snapshot throttles, and this run does, so its bits pin
+        // the order of every float operation in `NodeGovernor::govern`
+        // and in the governance pass that sums its passes.
+        let scenario = ScenarioSpec::gen5_stage_cluster(140);
+        let overrides = ExperimentOverrides {
+            models: Some(cpu_mix_models(&scenario, 1.2, 0.6)),
+            ..ExperimentOverrides::default()
+        };
+        let r = toto::DensityExperiment::new(scenario, overrides).run();
+        let throttled = r.telemetry.cpu_throttling.last_value().unwrap_or(0.0);
+        assert_eq!(throttled.to_bits(), 0x4075_6aeb_0cf1_1858, "{throttled}");
+        assert_eq!(r.telemetry.contended_governance_passes, 34);
     }
 
     #[test]

@@ -23,13 +23,16 @@ use std::collections::BTreeMap;
 use toto_chaos::{ChaosAction, ChaosFaultRecord, ChaosPlan, ChaosReport, ChaosRuntime};
 use toto_controlplane::admission::{AdmissionController, AdmissionOutcome};
 use toto_controlplane::slo::{decode_tag, SloCatalog};
-use toto_fabric::cluster::{Cluster, ClusterConfig, ReplicaRole};
-use toto_fabric::ids::{MetricId, NodeId, ReplicaId};
+use toto_fabric::cluster::{Cluster, ClusterConfig, Replica, ReplicaRole};
+use toto_fabric::ids::{MetricId, NodeId, ReplicaId, ServiceId};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::naming::NamingService;
 use toto_fabric::plb::{FailoverEvent, Plb, PlbConfig};
 use toto_models::compiled::ReplicaRoleKind;
-use toto_rgmanager::{persisted_state_key, ModelCache, ReportRequest, RgManager, MODEL_KEY};
+use toto_rgmanager::governance::{CpuDemand, CpuGrant, NodeGovernor};
+use toto_rgmanager::{
+    persisted_state_key, InMemoryState, ModelCache, ReportRequest, RgManager, MODEL_KEY,
+};
 use toto_simcore::event::{Scheduler, Simulation};
 use toto_simcore::rng::DetRng;
 use toto_simcore::time::{SimDuration, SimTime, SECS_PER_HOUR, SECS_PER_WEEK};
@@ -141,7 +144,10 @@ pub struct ExperimentState {
     /// blob's Naming Service version.
     models: ModelCache,
     rgmanagers: Vec<RgManager>,
-    governors: Vec<toto_rgmanager::governance::NodeGovernor>,
+    /// Every replica's non-persisted metric state, one slot per replica
+    /// id: the memory of the replica's current host's RgManager.
+    in_memory: InMemoryState,
+    governors: Vec<NodeGovernor>,
     admission: AdmissionController,
     catalog: SloCatalog,
     popmgr: PopulationManager,
@@ -157,7 +163,7 @@ pub struct ExperimentState {
     identities: std::collections::BTreeMap<u64, u64>,
     /// Live services by creation name (bootstrap + admitted creates),
     /// so directed drops can resolve their victim without a scan.
-    by_name: BTreeMap<String, toto_fabric::ids::ServiceId>,
+    by_name: BTreeMap<String, ServiceId>,
     /// Whether a directed schedule replaces the population stream.
     directed_mode: bool,
     /// Create directives executed (admitted or redirected).
@@ -174,6 +180,10 @@ pub struct ExperimentState {
     /// reports, reused every report period so the hottest periodic event
     /// allocates nothing in steady state.
     report_batch: Vec<(ReplicaId, MetricId, f64)>,
+    /// Scratch for `governance_tick`: each node's CPU demands in replica
+    /// id order, and one pass's grants, reused every period.
+    governance_demands: Vec<Vec<CpuDemand>>,
+    governance_grants: Vec<CpuGrant>,
 }
 
 /// Everything an experiment run produces.
@@ -283,7 +293,7 @@ impl DensityExperiment {
         let mut billing: BTreeMap<u64, BillingState> = BTreeMap::new();
         let mut identities: std::collections::BTreeMap<u64, u64> =
             std::collections::BTreeMap::new();
-        let mut by_name: BTreeMap<String, toto_fabric::ids::ServiceId> = BTreeMap::new();
+        let mut by_name: BTreeMap<String, ServiceId> = BTreeMap::new();
         for (id, edition, slo_index, initial_disk) in &bootstrap.services {
             let name = cluster
                 .service(*id)
@@ -321,9 +331,10 @@ impl DensityExperiment {
         for rg in &mut rgmanagers {
             rg.refresh_models(&mut naming, &mut models);
         }
-        let governors: Vec<toto_rgmanager::governance::NodeGovernor> = (0..scenario.node_count)
-            .map(|_| toto_rgmanager::governance::NodeGovernor::new(scenario.cores_per_node))
+        let governors: Vec<NodeGovernor> = (0..scenario.node_count)
+            .map(|_| NodeGovernor::new(scenario.cores_per_node))
             .collect();
+        let governance_demands = vec![Vec::new(); governors.len()];
 
         let population_spec = overrides
             .population
@@ -359,6 +370,7 @@ impl DensityExperiment {
             naming,
             models,
             rgmanagers,
+            in_memory: InMemoryState::new(),
             governors,
             admission: AdmissionController::new(cpu, memory, disk),
             catalog,
@@ -372,6 +384,8 @@ impl DensityExperiment {
             end,
             chaos,
             report_batch: Vec::new(),
+            governance_demands,
+            governance_grants: Vec::new(),
         };
 
         let mut sim = Simulation::new(state);
@@ -534,6 +548,69 @@ fn edition_of(tag: u64) -> EditionKind {
     decode_tag(tag).0
 }
 
+/// What a metric report needs from a replica's service.
+#[derive(Clone, Copy)]
+struct ReportService {
+    edition: EditionKind,
+    created_at: SimTime,
+    /// The stable database identity (see `ExperimentState::identities`).
+    identity: u64,
+}
+
+impl ReportService {
+    /// The RgManager request for one of `replica`'s metrics.
+    fn request(
+        self,
+        replica: &Replica,
+        resource: ResourceKind,
+        now: SimTime,
+        actual_load: f64,
+    ) -> ReportRequest {
+        ReportRequest {
+            replica: replica.id.raw(),
+            service: self.identity,
+            role: match replica.role {
+                ReplicaRole::Primary => ReplicaRoleKind::Primary,
+                ReplicaRole::Secondary => ReplicaRoleKind::Secondary,
+            },
+            edition: self.edition,
+            resource,
+            created_at: self.created_at,
+            now,
+            actual_load,
+        }
+    }
+}
+
+/// Every replica in id order, with what its reports need from its
+/// service. A service's replicas have consecutive ids, so the service
+/// and identity lookups are cached across the run of replicas that share
+/// them — one probe of each map per service instead of per replica. The
+/// shared walk of `report_metrics` and `governance_tick`.
+fn replicas_with_service<'a>(
+    cluster: &'a Cluster,
+    identities: &'a BTreeMap<u64, u64>,
+) -> impl Iterator<Item = (&'a Replica, ReportService)> + 'a {
+    let mut last: Option<(ServiceId, ReportService)> = None;
+    cluster.replicas().map(move |r| {
+        let service = match last {
+            Some((id, service)) if id == r.service => service,
+            _ => {
+                let svc = cluster.service(r.service).expect("replica's service");
+                let raw = r.service.raw();
+                let service = ReportService {
+                    edition: edition_of(svc.tag),
+                    created_at: svc.created_at,
+                    identity: identities.get(&raw).copied().unwrap_or(raw),
+                };
+                last = Some((r.service, service));
+                service
+            }
+        };
+        (r, service)
+    })
+}
+
 /// Every report period each replica consults its node's RgManager for the
 /// disk and memory metrics and reports the modeled loads to the PLB.
 ///
@@ -548,30 +625,9 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
     let now = sched.now();
     let mut batch = std::mem::take(&mut state.report_batch);
     batch.clear();
-    // A service's replicas have consecutive ids and replicas iterate in
-    // id order, so the service and identity lookups are cached across
-    // the run of replicas that share them — one probe of each map per
-    // service instead of per replica.
-    let mut last_service: Option<(toto_fabric::ids::ServiceId, EditionKind, SimTime, u64)> = None;
-    for r in state.cluster.replicas() {
+    for (r, report_service) in replicas_with_service(&state.cluster, &state.identities) {
         let service = r.service.raw();
-        let (edition, created_at, identity) = match last_service {
-            Some((sid, edition, created_at, identity)) if sid == r.service => {
-                (edition, created_at, identity)
-            }
-            _ => {
-                let svc = state.cluster.service(r.service).expect("replica's service");
-                let identity = state.identities.get(&service).copied().unwrap_or(service);
-                let cached = (edition_of(svc.tag), svc.created_at, identity);
-                last_service = Some((r.service, cached.0, cached.1, cached.2));
-                cached
-            }
-        };
         let node = r.node.raw();
-        let role_kind = match r.role {
-            ReplicaRole::Primary => ReplicaRoleKind::Primary,
-            ReplicaRole::Secondary => ReplicaRoleKind::Secondary,
-        };
         for (resource, metric) in [
             (ResourceKind::Disk, state.disk),
             (ResourceKind::Memory, state.memory),
@@ -595,17 +651,12 @@ fn report_metrics(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentS
                     }
                 }
             }
-            let req = ReportRequest {
-                replica: r.id.raw(),
-                service: identity,
-                role: role_kind,
-                edition,
-                resource,
-                created_at,
-                now,
-                actual_load: r.load[metric],
-            };
-            let value = state.rgmanagers[node as usize].compute_report(&mut state.naming, &req);
+            let req = report_service.request(r, resource, now, r.load[metric]);
+            let value = state.rgmanagers[node as usize].compute_report(
+                &mut state.naming,
+                &mut state.in_memory,
+                &req,
+            );
             batch.push((r.id, metric, value));
             if resource == ResourceKind::Disk && r.role == ReplicaRole::Primary {
                 if let Some(b) = state.billing.get_mut(&service) {
@@ -663,7 +714,7 @@ fn process_failovers(state: &mut ExperimentState, events: Vec<FailoverEvent>) {
     for ev in events {
         // The replica restarted on another node either way: the source
         // RgManager forgets its non-persisted metric state.
-        state.rgmanagers[ev.from.raw() as usize].forget_replica(ev.replica.raw());
+        state.in_memory.forget_replica(ev.replica.raw());
         if !matches!(
             ev.reason,
             toto_fabric::plb::FailoverReason::CapacityViolation(_)
@@ -904,24 +955,13 @@ fn drop_database(state: &mut ExperimentState, edition: EditionKind, now: SimTime
 /// and directed drops (trace, replica cleanup, persisted state, billing).
 fn remove_service(
     state: &mut ExperimentState,
-    victim: toto_fabric::ids::ServiceId,
+    victim: ServiceId,
     edition: EditionKind,
     now: SimTime,
 ) {
     if let Some(name) = state.cluster.service(victim).map(|s| s.name.clone()) {
         state.by_name.remove(&name);
     }
-    let nodes: Vec<u32> = state
-        .cluster
-        .service(victim)
-        .map(|s| {
-            s.replicas
-                .iter()
-                .filter_map(|r| state.cluster.replica(*r))
-                .map(|r| r.node.raw())
-                .collect()
-        })
-        .unwrap_or_default();
     let replica_ids: Vec<u64> = state
         .cluster
         .service(victim)
@@ -934,8 +974,8 @@ fn remove_service(
                 edition: edition.index() as u64,
             }
         });
-        for (node, rid) in nodes.into_iter().zip(replica_ids) {
-            state.rgmanagers[node as usize].forget_replica(rid);
+        for rid in replica_ids {
+            state.in_memory.forget_replica(rid);
         }
         let identity = state
             .identities
@@ -1645,50 +1685,23 @@ mod chaos_tests {
 /// metric remains the admission-time reservation.
 fn governance_tick(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     let now = sched.now();
-    let replicas: Vec<(u64, u64, u32, ReplicaRole, EditionKind, SimTime, f64)> = state
-        .cluster
-        .replicas()
-        .map(|r| {
-            let svc = state.cluster.service(r.service).expect("replica's service");
-            (
-                r.id.raw(),
-                r.service.raw(),
-                r.node.raw(),
-                r.role,
-                edition_of(svc.tag),
-                svc.created_at,
-                r.load[state.cpu],
-            )
-        })
-        .collect();
-    let mut demands: Vec<std::collections::BTreeMap<u64, toto_rgmanager::governance::CpuDemand>> =
-        vec![std::collections::BTreeMap::new(); state.governors.len()];
-    for (rid, service, node, role, edition, created_at, reserved) in replicas {
-        let identity = state.identities.get(&service).copied().unwrap_or(service);
-        let role_kind = match role {
-            ReplicaRole::Primary => ReplicaRoleKind::Primary,
-            ReplicaRole::Secondary => ReplicaRoleKind::Secondary,
-        };
-        let req = ReportRequest {
-            replica: rid,
-            service: identity,
-            role: role_kind,
-            edition,
-            resource: ResourceKind::Cpu,
-            created_at,
-            now,
-            actual_load: 0.05,
-        };
-        let utilization = state.rgmanagers[node as usize]
-            .compute_report(&mut state.naming, &req)
+    // Each node's demands in replica-id order: the order the governor
+    // allocates and sums them in.
+    let mut demands = std::mem::take(&mut state.governance_demands);
+    for node in &mut demands {
+        node.clear();
+    }
+    for (r, report_service) in replicas_with_service(&state.cluster, &state.identities) {
+        let node = r.node.raw() as usize;
+        let req = report_service.request(r, ResourceKind::Cpu, now, 0.05);
+        let utilization = state.rgmanagers[node]
+            .compute_report(&mut state.naming, &mut state.in_memory, &req)
             .clamp(0.0, 4.0);
-        demands[node as usize].insert(
-            rid,
-            toto_rgmanager::governance::CpuDemand {
-                reserved,
-                demanded: reserved * utilization,
-            },
-        );
+        let reserved = r.load[state.cpu];
+        demands[node].push(CpuDemand {
+            reserved,
+            demanded: reserved * utilization,
+        });
     }
     let mut throttled_total = 0.0;
     let mut contended = 0u64;
@@ -1697,7 +1710,7 @@ fn governance_tick(state: &mut ExperimentState, sched: &mut Scheduler<Experiment
             continue;
         }
         let before = state.governors[node].stats();
-        state.governors[node].govern(demand);
+        state.governors[node].govern(demand, &mut state.governance_grants);
         let after = state.governors[node].stats();
         throttled_total += after.throttled_core_intervals - before.throttled_core_intervals;
         contended += after.contended_passes - before.contended_passes;
@@ -1705,6 +1718,7 @@ fn governance_tick(state: &mut ExperimentState, sched: &mut Scheduler<Experiment
     let cumulative = state.telemetry.cpu_throttling.last_value().unwrap_or(0.0) + throttled_total;
     state.telemetry.cpu_throttling.push(now, cumulative);
     state.telemetry.contended_governance_passes += contended;
+    state.governance_demands = demands;
     let next = now + state.report_period;
     if next <= state.end {
         sched.schedule_at(next, governance_tick);

@@ -10,8 +10,6 @@
 //! demand exceeds supply, and records how much demand went unserved (the
 //! "performance debt" a benchmark can score).
 
-use std::collections::BTreeMap;
-
 /// One replica's CPU state as seen by the governor.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuDemand {
@@ -52,6 +50,11 @@ pub struct GovernanceStats {
 /// 2. leftover physical cores are shared among still-hungry replicas in
 ///    proportion to their reservations (weighted fair sharing), iterating
 ///    until the surplus is exhausted or everyone is satisfied.
+///
+/// A pass reads the node's demands as a slice in replica-id order and
+/// writes the grants into a caller-owned buffer, so a caller that reuses
+/// its buffers allocates nothing per pass. Every sum runs in that order,
+/// which fixes the bits of `throttled_core_intervals`.
 #[derive(Clone, Debug)]
 pub struct NodeGovernor {
     physical_cores: f64,
@@ -78,55 +81,61 @@ impl NodeGovernor {
         self.stats
     }
 
-    /// Run one governance pass over the node's replicas. Returns the
-    /// per-replica grants, keyed as the input.
-    pub fn govern(&mut self, demands: &BTreeMap<u64, CpuDemand>) -> BTreeMap<u64, CpuGrant> {
+    /// Run one governance pass over the node's replicas, given in
+    /// replica-id order. Writes one grant per demand into `grants`, in
+    /// the same order; the buffer is cleared first, so a caller can
+    /// reuse one across passes.
+    pub fn govern(&mut self, demands: &[CpuDemand], grants: &mut Vec<CpuGrant>) {
         self.stats.passes += 1;
-        let mut grants: BTreeMap<u64, CpuGrant> = BTreeMap::new();
+        grants.clear();
         // Phase 1: guarantees.
         let mut used = 0.0;
-        for (&id, d) in demands {
+        for d in demands {
             let granted = d.demanded.min(d.reserved).max(0.0);
             used += granted;
-            grants.insert(
-                id,
-                CpuGrant {
-                    granted,
-                    throttled: 0.0,
-                },
-            );
+            grants.push(CpuGrant {
+                granted,
+                throttled: 0.0,
+            });
         }
         // Over-reserved node (the density study's premise!): even the
         // guarantees exceed the machine — scale them down proportionally,
         // which is where dense clusters quietly pay their performance tax.
         if used > self.physical_cores {
             let scale = self.physical_cores / used;
-            for grant in grants.values_mut() {
+            for grant in grants.iter_mut() {
                 grant.granted *= scale;
             }
             used = self.physical_cores;
         }
         // Phase 2: work-conserving surplus sharing, weighted by
         // reservation, iterated so capped replicas release their share.
+        // A replica's hunger is judged before its own grant grows, and
+        // no other replica's grant moves in between, so each round
+        // shares among the replicas hungry at its start.
+        let hungry = |d: &CpuDemand, g: &CpuGrant| d.demanded > g.granted + 1e-12;
         let mut surplus = (self.physical_cores - used).max(0.0);
         for _ in 0..8 {
             if surplus <= 1e-9 {
                 break;
             }
-            let hungry: Vec<u64> = demands
-                .iter()
-                .filter(|(id, d)| d.demanded > grants[*id].granted + 1e-12)
-                .map(|(id, _)| *id)
-                .collect();
-            if hungry.is_empty() {
+            let mut weight_total = 0.0;
+            let mut any_hungry = false;
+            for (d, g) in demands.iter().zip(grants.iter()) {
+                if hungry(d, g) {
+                    weight_total += d.reserved.max(0.1);
+                    any_hungry = true;
+                }
+            }
+            if !any_hungry {
                 break;
             }
-            let weight_total: f64 = hungry.iter().map(|id| demands[id].reserved.max(0.1)).sum();
             let mut consumed = 0.0;
-            for id in &hungry {
-                let d = &demands[id];
+            for (d, grant) in demands.iter().zip(grants.iter_mut()) {
+                if !hungry(d, grant) {
+                    continue;
+                }
                 let share = surplus * d.reserved.max(0.1) / weight_total;
-                let grant = grants.get_mut(id).expect("inserted in phase 1");
                 let extra = (d.demanded - grant.granted).min(share);
                 grant.granted += extra;
                 consumed += extra;
@@ -138,8 +147,7 @@ impl NodeGovernor {
         }
         // Account throttling.
         let mut contended = false;
-        for (&id, d) in demands {
-            let grant = grants.get_mut(&id).expect("present");
+        for (d, grant) in demands.iter().zip(grants.iter_mut()) {
             grant.throttled = (d.demanded - grant.granted).max(0.0);
             if grant.throttled > 1e-9 {
                 contended = true;
@@ -149,7 +157,6 @@ impl NodeGovernor {
         if contended {
             self.stats.contended_passes += 1;
         }
-        grants
     }
 }
 
@@ -157,19 +164,25 @@ impl NodeGovernor {
 mod tests {
     use super::*;
 
-    fn demands(list: &[(u64, f64, f64)]) -> BTreeMap<u64, CpuDemand> {
-        list.iter()
-            .map(|&(id, reserved, demanded)| (id, CpuDemand { reserved, demanded }))
-            .collect()
+    /// One pass over `(reserved, demanded)` pairs in replica-id order;
+    /// the grants come back in the same order.
+    fn govern(g: &mut NodeGovernor, list: &[(f64, f64)]) -> Vec<CpuGrant> {
+        let demands: Vec<CpuDemand> = list
+            .iter()
+            .map(|&(reserved, demanded)| CpuDemand { reserved, demanded })
+            .collect();
+        let mut grants = Vec::new();
+        g.govern(&demands, &mut grants);
+        grants
     }
 
     #[test]
     fn under_subscribed_node_grants_everything() {
         let mut g = NodeGovernor::new(96.0);
-        let grants = g.govern(&demands(&[(1, 8.0, 4.0), (2, 16.0, 10.0)]));
-        assert_eq!(grants[&1].granted, 4.0);
-        assert_eq!(grants[&2].granted, 10.0);
-        assert_eq!(grants[&1].throttled, 0.0);
+        let grants = govern(&mut g, &[(8.0, 4.0), (16.0, 10.0)]);
+        assert_eq!(grants[0].granted, 4.0);
+        assert_eq!(grants[1].granted, 10.0);
+        assert_eq!(grants[0].throttled, 0.0);
         assert_eq!(g.stats().contended_passes, 0);
     }
 
@@ -178,12 +191,12 @@ mod tests {
         // Node of 16 cores; replica 1 demands way beyond its reservation,
         // replica 2 demands exactly its reservation.
         let mut g = NodeGovernor::new(16.0);
-        let grants = g.govern(&demands(&[(1, 4.0, 40.0), (2, 12.0, 12.0)]));
+        let grants = govern(&mut g, &[(4.0, 40.0), (12.0, 12.0)]);
         // Replica 2 gets its full guarantee.
-        assert_eq!(grants[&2].granted, 12.0);
+        assert_eq!(grants[1].granted, 12.0);
         // Replica 1 gets its guarantee plus whatever is left (nothing).
-        assert!((grants[&1].granted - 4.0).abs() < 1e-9);
-        assert!((grants[&1].throttled - 36.0).abs() < 1e-9);
+        assert!((grants[0].granted - 4.0).abs() < 1e-9);
+        assert!((grants[0].throttled - 36.0).abs() < 1e-9);
         assert_eq!(g.stats().contended_passes, 1);
     }
 
@@ -192,9 +205,9 @@ mod tests {
         // 32 physical cores; guarantees consume 12; surplus 20 shared
         // between two over-demanders weighted 1:3.
         let mut g = NodeGovernor::new(32.0);
-        let grants = g.govern(&demands(&[(1, 3.0, 100.0), (2, 9.0, 100.0)]));
-        let extra1 = grants[&1].granted - 3.0;
-        let extra2 = grants[&2].granted - 9.0;
+        let grants = govern(&mut g, &[(3.0, 100.0), (9.0, 100.0)]);
+        let extra1 = grants[0].granted - 3.0;
+        let extra2 = grants[1].granted - 9.0;
         assert!((extra1 + extra2 - 20.0).abs() < 1e-6);
         assert!((extra2 / extra1 - 3.0).abs() < 1e-6, "{extra1} vs {extra2}");
     }
@@ -205,19 +218,19 @@ mod tests {
         // unbounded — the iteration should hand replica 1's unused share
         // to replica 2.
         let mut g = NodeGovernor::new(30.0);
-        let grants = g.govern(&demands(&[(1, 5.0, 6.0), (2, 5.0, 100.0)]));
-        assert!((grants[&1].granted - 6.0).abs() < 1e-9);
-        assert!((grants[&2].granted - 24.0).abs() < 1e-6);
+        let grants = govern(&mut g, &[(5.0, 6.0), (5.0, 100.0)]);
+        assert!((grants[0].granted - 6.0).abs() < 1e-9);
+        assert!((grants[1].granted - 24.0).abs() < 1e-6);
     }
 
     #[test]
     fn total_grants_never_exceed_physical_cores() {
         let mut g = NodeGovernor::new(24.0);
-        let grants = g.govern(&demands(&[(1, 8.0, 30.0), (2, 8.0, 30.0), (3, 8.0, 30.0)]));
-        let total: f64 = grants.values().map(|x| x.granted).sum();
+        let grants = govern(&mut g, &[(8.0, 30.0), (8.0, 30.0), (8.0, 30.0)]);
+        let total: f64 = grants.iter().map(|x| x.granted).sum();
         assert!(total <= 24.0 + 1e-9);
         // Everyone gets exactly their guarantee here.
-        for g in grants.values() {
+        for g in &grants {
             assert!((g.granted - 8.0).abs() < 1e-9);
         }
     }
@@ -225,8 +238,8 @@ mod tests {
     #[test]
     fn stats_accumulate_across_passes() {
         let mut g = NodeGovernor::new(8.0);
-        g.govern(&demands(&[(1, 8.0, 20.0)]));
-        g.govern(&demands(&[(1, 8.0, 4.0)]));
+        govern(&mut g, &[(8.0, 20.0)]);
+        govern(&mut g, &[(8.0, 4.0)]);
         let s = g.stats();
         assert_eq!(s.passes, 2);
         assert_eq!(s.contended_passes, 1);
@@ -239,11 +252,11 @@ mod tests {
         // physical node. Guarantees are then scaled proportionally and
         // the shortfall shows up as throttled demand.
         let mut g = NodeGovernor::new(10.0);
-        let grants = g.govern(&demands(&[(1, 8.0, 8.0), (2, 8.0, 8.0)]));
-        let total: f64 = grants.values().map(|x| x.granted).sum();
+        let grants = govern(&mut g, &[(8.0, 8.0), (8.0, 8.0)]);
+        let total: f64 = grants.iter().map(|x| x.granted).sum();
         assert!((total - 10.0).abs() < 1e-9);
-        assert!((grants[&1].granted - 5.0).abs() < 1e-9);
-        assert!((grants[&1].throttled - 3.0).abs() < 1e-9);
+        assert!((grants[0].granted - 5.0).abs() < 1e-9);
+        assert!((grants[0].throttled - 3.0).abs() < 1e-9);
         assert_eq!(g.stats().contended_passes, 1);
     }
 }

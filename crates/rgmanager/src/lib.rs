@@ -20,7 +20,12 @@
 //! 3. Non-persisted metrics keep their previous reported value in
 //!    RgManager's process memory: a failover lands the replica on another
 //!    node whose RgManager has no memory of it, so the value resets —
-//!    exactly the cold-buffer-pool behaviour §3.3.2 wants.
+//!    exactly the cold-buffer-pool behaviour §3.3.2 wants. A replica's
+//!    memory only ever lives on its current host, so one experiment keeps
+//!    all of it in one table indexed by replica id ([`InMemoryState`]):
+//!    every move forgets the replica at its source, a drop forgets it,
+//!    and ids are never reused, so each slot holds exactly what the
+//!    current host's RgManager would remember.
 //! 4. Persisted metrics (local-store disk) round-trip their previous
 //!    value through the Naming Service, stored as a number and read and
 //!    written in one probe ([`NamingService::update_num`]). Only the
@@ -34,7 +39,6 @@ use std::sync::Arc;
 
 use toto_fabric::naming::{NamingService, Value};
 use toto_models::compiled::{CompiledModelSet, ReplicaRoleKind, SampleContext};
-use toto_simcore::collections::{det_hash_map, DetHashMap};
 use toto_simcore::time::SimTime;
 use toto_spec::model::ModelSetSpec;
 use toto_spec::{EditionKind, ResourceKind};
@@ -121,6 +125,66 @@ impl ModelCache {
     }
 }
 
+/// The non-persisted metric state of every replica of one experiment:
+/// each replica's previous reported value per [`ResourceKind`], in one
+/// slot indexed by its raw replica id. Fabric replica ids are allocated
+/// sequentially from 0 and never reused, so the table stays dense.
+///
+/// The slot stands for the replica's memory in its *current* host's
+/// RgManager. That holds as long as every move and every drop calls
+/// [`InMemoryState::forget_replica`]; debug builds check it by recording
+/// which node's RgManager last touched each slot.
+#[derive(Clone, Debug, Default)]
+pub struct InMemoryState {
+    slots: Vec<[Option<f64>; 3]>,
+    /// The node whose RgManager owns each slot, or `None` once forgotten.
+    #[cfg(debug_assertions)]
+    hosts: Vec<Option<u32>>,
+}
+
+impl InMemoryState {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drop the in-memory state of a replica that left its node (its
+    /// process restarted elsewhere, or it was dropped). Non-persisted
+    /// metrics then reset on its next report, as in production.
+    pub fn forget_replica(&mut self, replica: u64) {
+        if let Some(slot) = self.slots.get_mut(replica as usize) {
+            *slot = [None; 3];
+        }
+        #[cfg(debug_assertions)]
+        if let Some(host) = self.hosts.get_mut(replica as usize) {
+            *host = None;
+        }
+    }
+
+    /// The slot of `replica`, as seen by the RgManager of `node`.
+    fn slot(
+        &mut self,
+        replica: u64,
+        #[cfg_attr(not(debug_assertions), allow(unused_variables))] node: u32,
+    ) -> &mut [Option<f64>; 3] {
+        let index = replica as usize;
+        if index >= self.slots.len() {
+            self.slots.resize(index + 1, [None; 3]);
+            #[cfg(debug_assertions)]
+            self.hosts.resize(index + 1, None);
+        }
+        #[cfg(debug_assertions)]
+        if let Some(host) = self.hosts[index].replace(node) {
+            assert_eq!(
+                host, node,
+                "rep-{replica} reported on node {node}, but node {host} still holds its \
+                 in-memory state: a move did not forget it"
+            );
+        }
+        &mut self.slots[index]
+    }
+}
+
 /// A per-node RgManager instance.
 #[derive(Clone, Debug)]
 pub struct RgManager {
@@ -128,11 +192,6 @@ pub struct RgManager {
     /// The loaded model set, shared with every RgManager that loaded the
     /// same blob version.
     models: Option<Arc<CompiledModelSet>>,
-    /// Previous reported values for non-persisted metrics: one slot per
-    /// replica, indexed by [`ResourceKind::index`]. Lives and dies with
-    /// this RgManager instance. Nothing iterates it, so the hash order
-    /// never reaches an artifact.
-    mem_state: DetHashMap<u64, [Option<f64>; 3]>,
     refresh_count: u64,
     /// Scratch buffer for persisted-state keys (reused across reports).
     key_scratch: String,
@@ -148,7 +207,6 @@ impl RgManager {
         RgManager {
             node,
             models: None,
-            mem_state: det_hash_map(),
             refresh_count: 0,
             key_scratch: String::new(),
             seen_blob_version: None,
@@ -211,17 +269,16 @@ impl RgManager {
         true
     }
 
-    /// Drop the in-memory state of a replica that left this node (its
-    /// process restarted elsewhere). Non-persisted metrics then reset on
-    /// their next report, as in production.
-    pub fn forget_replica(&mut self, replica: u64) {
-        self.mem_state.remove(&replica);
-    }
-
     /// Handle a metric report RPC: returns the value the replica should
-    /// report to the PLB.
-    pub fn compute_report(&mut self, naming: &mut NamingService, req: &ReportRequest) -> f64 {
-        let value = self.compute_report_value(naming, req);
+    /// report to the PLB. Non-persisted metrics read and update the
+    /// replica's slot in `memory`, the experiment's in-memory state.
+    pub fn compute_report(
+        &mut self,
+        naming: &mut NamingService,
+        memory: &mut InMemoryState,
+        req: &ReportRequest,
+    ) -> f64 {
+        let value = self.compute_report_value(naming, memory, req);
         debug_assert!(
             value.is_finite(),
             "metric report for {:?} must be finite before it reaches the PLB",
@@ -239,7 +296,12 @@ impl RgManager {
         value
     }
 
-    fn compute_report_value(&mut self, naming: &mut NamingService, req: &ReportRequest) -> f64 {
+    fn compute_report_value(
+        &mut self,
+        naming: &mut NamingService,
+        memory: &mut InMemoryState,
+        req: &ReportRequest,
+    ) -> f64 {
         let Some(models) = &self.models else {
             return req.actual_load;
         };
@@ -274,7 +336,7 @@ impl RgManager {
             );
             value
         } else {
-            let slot = &mut self.mem_state.entry(req.replica).or_default()[req.resource.index()];
+            let slot = &mut memory.slot(req.replica, self.node)[req.resource.index()];
             ctx.prev = *slot;
             let value = model.next_value(&ctx);
             debug_assert!(
@@ -349,21 +411,27 @@ mod tests {
     #[test]
     fn no_models_means_actual_load() {
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut rg = RgManager::new(0);
-        let v = rg.compute_report(&mut naming, &request(1, 1, ReplicaRoleKind::Primary, 0));
+        let v = rg.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 1, ReplicaRoleKind::Primary, 0),
+        );
         assert_eq!(v, 7.5);
     }
 
     #[test]
     fn uncovered_metric_falls_through_to_actual() {
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 0.5, true));
         let mut rg = RgManager::new(0);
         assert!(rg.refresh_models(&mut naming, &mut cache));
         let mut req = request(1, 1, ReplicaRoleKind::Primary, 1200);
         req.resource = ResourceKind::Memory;
-        assert_eq!(rg.compute_report(&mut naming, &req), 7.5);
+        assert_eq!(rg.compute_report(&mut naming, &mut memory, &req), 7.5);
     }
 
     #[test]
@@ -384,6 +452,7 @@ mod tests {
     #[test]
     fn malformed_blob_keeps_old_models() {
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 0.5, true));
         let mut rg = RgManager::new(0);
@@ -392,20 +461,33 @@ mod tests {
         assert!(!rg.refresh_models(&mut naming, &mut cache));
         assert_eq!(rg.loaded_version(), Some(1));
         // Reports still work off the old models.
-        let v = rg.compute_report(&mut naming, &request(1, 1, ReplicaRoleKind::Primary, 1200));
+        let v = rg.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 1, ReplicaRoleKind::Primary, 1200),
+        );
         assert!((v - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn persisted_metric_round_trips_naming_service() {
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg = RgManager::new(0);
         rg.refresh_models(&mut naming, &mut cache);
-        let v1 = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
+        let v1 = rg.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 1200),
+        );
         assert!((v1 - 1.0).abs() < 1e-12);
-        let v2 = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 2400));
+        let v2 = rg.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 2400),
+        );
         assert!((v2 - 2.0).abs() < 1e-12);
         // The persisted value is in the naming service, as a number.
         let Some(&Value::Num(stored)) = naming.get(&persisted_state_key(ResourceKind::Disk, 9))
@@ -418,6 +500,7 @@ mod tests {
     #[test]
     fn secondary_reads_persisted_value_without_executing() {
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg0 = RgManager::new(0);
@@ -425,12 +508,21 @@ mod tests {
         rg0.refresh_models(&mut naming, &mut cache);
         rg1.refresh_models(&mut naming, &mut cache);
         // Primary on node 0 reports twice.
-        rg0.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
-        rg0.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 2400));
+        rg0.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 1200),
+        );
+        rg0.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 2400),
+        );
         let writes_before = naming.stats().writes;
         // Secondary on node 1 reports the stored value and writes nothing.
         let v = rg1.compute_report(
             &mut naming,
+            &mut memory,
             &request(2, 9, ReplicaRoleKind::Secondary, 2400),
         );
         assert!((v - 2.0).abs() < 1e-12);
@@ -442,6 +534,7 @@ mod tests {
         // The §3.3.2 guarantee: after failover the newly promoted primary
         // has the same disk usage as the previous primary.
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg0 = RgManager::new(0);
@@ -451,17 +544,23 @@ mod tests {
         for i in 1..=5 {
             rg0.compute_report(
                 &mut naming,
+                &mut memory,
                 &request(1, 9, ReplicaRoleKind::Primary, 1200 * i),
             );
         }
         // Old primary reported 5.0; promoted replica (on node 1) continues.
-        let v = rg1.compute_report(&mut naming, &request(2, 9, ReplicaRoleKind::Primary, 7200));
+        let v = rg1.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(2, 9, ReplicaRoleKind::Primary, 7200),
+        );
         assert!((v - 6.0).abs() < 1e-12, "v = {v}");
     }
 
     #[test]
     fn non_persisted_metric_resets_on_failover() {
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, false));
         let mut rg0 = RgManager::new(0);
@@ -471,26 +570,58 @@ mod tests {
         for i in 1..=4 {
             rg0.compute_report(
                 &mut naming,
+                &mut memory,
                 &request(1, 9, ReplicaRoleKind::Primary, 1200 * i),
             );
         }
-        // Fail over: new node's RgManager has no memory of the replica.
-        let v = rg1.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 6000));
+        // Fail over: the source forgets the replica, and the new node's
+        // RgManager has no memory of it.
+        memory.forget_replica(1);
+        let v = rg1.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 6000),
+        );
         assert!((v - 1.0).abs() < 1e-12, "reset then one delta, got {v}");
-        // And the old node forgets on departure.
-        rg0.forget_replica(1);
-        let v2 = rg0.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 7200));
+        // Moving back starts fresh too.
+        memory.forget_replica(1);
+        let v2 = rg0.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 7200),
+        );
         assert!((v2 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a move did not forget it")]
+    fn a_move_that_does_not_forget_is_caught_in_debug_builds() {
+        let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
+        let mut cache = ModelCache::new();
+        naming.write(MODEL_KEY, disk_model_xml(1, 1.0, false));
+        let mut rgs: Vec<RgManager> = (0..2).map(RgManager::new).collect();
+        for (i, rg) in rgs.iter_mut().enumerate() {
+            rg.refresh_models(&mut naming, &mut cache);
+            let req = request(1, 9, ReplicaRoleKind::Primary, 1200 * (i as u64 + 1));
+            rg.compute_report(&mut naming, &mut memory, &req);
+        }
     }
 
     #[test]
     fn clear_persisted_state_removes_keys() {
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1.0, true));
         let mut rg = RgManager::new(0);
         rg.refresh_models(&mut naming, &mut cache);
-        rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
+        rg.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 1200),
+        );
         assert!(naming
             .get(&persisted_state_key(ResourceKind::Disk, 9))
             .is_some());
@@ -506,11 +637,16 @@ mod tests {
         // Service, and text seeded with `{:?}` must parse back to the
         // bits it was formatted from.
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut cache = ModelCache::new();
         naming.write(MODEL_KEY, disk_model_xml(1, 1_234.567_890_123_456_7, true));
         let mut rg = RgManager::new(0);
         rg.refresh_models(&mut naming, &mut cache);
-        let v = rg.compute_report(&mut naming, &request(1, 9, ReplicaRoleKind::Primary, 1200));
+        let v = rg.compute_report(
+            &mut naming,
+            &mut memory,
+            &request(1, 9, ReplicaRoleKind::Primary, 1200),
+        );
         let key = persisted_state_key(ResourceKind::Disk, 9);
         let Some(&Value::Num(stored)) = naming.get(&key) else {
             panic!("the primary stores a number");
@@ -523,6 +659,7 @@ mod tests {
         naming.write(&key, format!("{v:?}"));
         let secondary = rg.compute_report(
             &mut naming,
+            &mut memory,
             &request(2, 9, ReplicaRoleKind::Secondary, 2400),
         );
         assert_eq!(secondary.to_bits(), v.to_bits(), "{secondary} vs {v}");
@@ -538,6 +675,7 @@ mod tests {
         let sink = toto_trace::Shared::new(toto_trace::BufferSink::new());
         let guard = toto_trace::SessionGuard::install(Box::new(sink.clone()));
         let mut naming = NamingService::new();
+        let mut memory = InMemoryState::new();
         let mut caches = vec![ModelCache::new(); if shared { 1 } else { nodes as usize }];
         let mut rgs: Vec<RgManager> = (0..nodes).map(RgManager::new).collect();
         let mut reports = Vec::new();
@@ -556,7 +694,7 @@ mod tests {
                 rg.refresh_models(&mut naming, cache);
                 let now = 1200 * (step as u64 + 1);
                 let req = request(u64::from(rg.node()), 9, ReplicaRoleKind::Primary, now);
-                reports.push(rg.compute_report(&mut naming, &req).to_bits());
+                reports.push(rg.compute_report(&mut naming, &mut memory, &req).to_bits());
             }
         }
         drop(guard);
