@@ -75,7 +75,6 @@ mod tests {
                 },
                 FaultSpec::NodeCrash {
                     at_hour: 200,
-                    node: None,
                     downtime_secs: 600,
                 },
             ],

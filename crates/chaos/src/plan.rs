@@ -17,13 +17,11 @@ use toto_spec::ResourceKind;
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultSpec {
     /// A node crashes (abrupt, no drain) and restarts after
-    /// `downtime_secs`. `node: None` lets the chaos RNG pick an up node
-    /// at injection time.
+    /// `downtime_secs`. The chaos RNG picks the victim among up nodes at
+    /// injection time.
     NodeCrash {
         /// Hour the crash fires.
         at_hour: u64,
-        /// Fixed victim, or `None` for a seeded pick among up nodes.
-        node: Option<u32>,
         /// Seconds until the node comes back.
         downtime_secs: u64,
     },
@@ -36,14 +34,12 @@ pub enum FaultSpec {
         /// Per-node downtime (also the stagger between nodes).
         downtime_hours: u64,
     },
-    /// Permanent decommission: the node is drained and never comes back.
-    /// A drain blocked by a last-replica conflict refuses the
-    /// decommission (recorded, not forced).
+    /// Permanent decommission: a seeded pick among up nodes is drained
+    /// and never comes back. A drain blocked by a last-replica conflict
+    /// refuses the decommission (recorded, not forced).
     Decommission {
         /// Hour the decommission fires.
         at_hour: u64,
-        /// Fixed victim, or `None` for a seeded pick among up nodes.
-        node: Option<u32>,
     },
     /// Shrink one resource's per-node logical capacity to
     /// `factor` × its configured value, optionally restoring later.
@@ -93,10 +89,9 @@ pub struct ScheduledFault {
 /// The primitive actions the experiment runner knows how to inject.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ChaosAction {
-    /// Abrupt crash (+ scheduled restart after `downtime_secs`).
+    /// Abrupt crash of a seeded pick among up nodes (+ scheduled restart
+    /// after `downtime_secs`).
     Crash {
-        /// Victim, or `None` for a seeded pick at injection time.
-        node: Option<u32>,
         /// Seconds until restart.
         downtime_secs: u64,
     },
@@ -107,11 +102,8 @@ pub enum ChaosAction {
         /// Seconds until restart.
         downtime_secs: u64,
     },
-    /// Drain with no restart.
-    Decommission {
-        /// Victim, or `None` for a seeded pick at injection time.
-        node: Option<u32>,
-    },
+    /// Drain of a seeded pick among up nodes, with no restart.
+    Decommission,
     /// Shrink a resource's per-node capacity to `factor` × configured.
     Degrade {
         /// Which metric shrinks.
@@ -165,7 +157,6 @@ impl ChaosPlan {
         let faults = match name {
             "node-crash" => vec![FaultSpec::NodeCrash {
                 at_hour: 2,
-                node: None,
                 downtime_secs: 1800,
             }],
             "storm" => vec![FaultSpec::FailoverStorm {
@@ -188,10 +179,7 @@ impl ChaosPlan {
                 start_hour: 1,
                 downtime_hours: 1,
             }],
-            "decommission" => vec![FaultSpec::Decommission {
-                at_hour: 2,
-                node: None,
-            }],
+            "decommission" => vec![FaultSpec::Decommission { at_hour: 2 }],
             _ => return None,
         };
         Some(ChaosPlan { faults })
@@ -218,12 +206,10 @@ impl ChaosPlan {
             match fault {
                 FaultSpec::NodeCrash {
                     at_hour,
-                    node,
                     downtime_secs,
                 } => out.push(ScheduledFault {
                     at_secs: at_hour * 3600,
                     action: ChaosAction::Crash {
-                        node: *node,
                         downtime_secs: *downtime_secs,
                     },
                 }),
@@ -241,9 +227,9 @@ impl ChaosPlan {
                         });
                     }
                 }
-                FaultSpec::Decommission { at_hour, node } => out.push(ScheduledFault {
+                FaultSpec::Decommission { at_hour } => out.push(ScheduledFault {
                     at_secs: at_hour * 3600,
-                    action: ChaosAction::Decommission { node: *node },
+                    action: ChaosAction::Decommission,
                 }),
                 FaultSpec::CapacityDegrade {
                     at_hour,

@@ -6,7 +6,7 @@
 //! SSD and replication". §5.1 models revenue as SLO price × lifetime plus
 //! storage price × size × lifetime. The dollar figures below are modeled
 //! constants in the spirit of the public Azure price list the paper cites
-//! ([9]); only their *relative* magnitudes matter for the study.
+//! (\[9\]); only their *relative* magnitudes matter for the study.
 
 use toto_spec::EditionKind;
 

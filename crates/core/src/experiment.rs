@@ -424,13 +424,10 @@ impl DensityExperiment {
                     continue;
                 }
                 match fault.action {
-                    ChaosAction::Crash {
-                        node,
-                        downtime_secs,
-                    } => sim
+                    ChaosAction::Crash { downtime_secs } => sim
                         .scheduler()
                         .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_crash(s, sc, node, downtime_secs)
+                            chaos_crash(s, sc, downtime_secs)
                         }),
                     ChaosAction::Drain {
                         node,
@@ -440,11 +437,9 @@ impl DensityExperiment {
                         .schedule_at(t, move |s: &mut ExperimentState, sc| {
                             chaos_drain(s, sc, node, downtime_secs)
                         }),
-                    ChaosAction::Decommission { node } => sim
+                    ChaosAction::Decommission => sim
                         .scheduler()
-                        .schedule_at(t, move |s: &mut ExperimentState, sc| {
-                            chaos_decommission(s, sc, node)
-                        }),
+                        .schedule_at(t, |s: &mut ExperimentState, sc| chaos_decommission(s, sc)),
                     ChaosAction::Degrade { resource, factor } => sim
                         .scheduler()
                         .schedule_at(t, move |s: &mut ExperimentState, sc| {
@@ -1022,25 +1017,30 @@ fn metric_for(state: &ExperimentState, resource: ResourceKind) -> MetricId {
     }
 }
 
-/// Resolve a plan's optional explicit node to a live victim. An explicit
-/// node that is out of range or already down makes the fault a no-op
-/// (the plan said "kill node 7" and node 7 is already dead); an
-/// unspecified node draws uniformly from the chaos RNG stream.
-fn chaos_pick_victim(state: &mut ExperimentState, requested: Option<u32>) -> Option<NodeId> {
-    match requested {
-        Some(n) => {
-            if (n as usize) < state.cluster.node_count() && state.cluster.node(NodeId(n)).up {
-                Some(NodeId(n))
-            } else {
-                None
-            }
-        }
-        None => state
-            .chaos
-            .as_mut()
-            .expect("chaos handler without runtime")
-            .pick_up_node(&state.cluster),
-    }
+/// Append a record for a fault fired at `now` and return its index.
+/// `moved` is the fault's (failovers, failed-over cores); the redirects
+/// delta starts at 0, and `recovery_secs: None` leaves the record open
+/// until the fault recovers (or marks it permanent).
+fn chaos_record(
+    state: &mut ExperimentState,
+    now: SimTime,
+    kind: impl Into<String>,
+    node: Option<NodeId>,
+    (failovers, failed_over_cores): (u64, f64),
+    recovery_secs: Option<u64>,
+) -> usize {
+    let at_secs = chaos_at_secs(state, now);
+    let rt = state.chaos.as_mut().expect("chaos handler without runtime");
+    rt.report.faults.push(ChaosFaultRecord {
+        at_secs,
+        kind: kind.into(),
+        node: node.map(NodeId::raw),
+        failovers,
+        failed_over_cores,
+        redirects_delta: 0,
+        recovery_secs,
+    });
+    rt.report.faults.len() - 1
 }
 
 /// Crash one node through the PLB and return (failovers, cores moved),
@@ -1074,61 +1074,43 @@ fn drained_cores(state: &ExperimentState, events: &[FailoverEvent]) -> f64 {
         .sum()
 }
 
-/// `nodeCrash`: hard-kill a node, fail over what fits, restart it after
-/// `downtime_secs`.
-fn chaos_crash(
-    state: &mut ExperimentState,
+/// Schedule the restart of `nodes` `downtime_secs` from now (unless that
+/// is past the end of the run); the restart closes fault record
+/// `record_idx`.
+fn chaos_schedule_restart(
+    state: &ExperimentState,
     sched: &mut Scheduler<ExperimentState>,
-    requested: Option<u32>,
+    nodes: Vec<NodeId>,
+    record_idx: usize,
     downtime_secs: u64,
 ) {
-    let now = sched.now();
-    let Some(node) = chaos_pick_victim(state, requested) else {
-        return;
-    };
-    toto_trace::emit(toto_trace::EventKind::ChaosNodeCrash, || {
-        toto_trace::EventBody::ChaosNodeCrash {
-            node: u64::from(node.raw()),
-            downtime_secs,
-        }
-    });
-    let (failovers, failed_over_cores) = chaos_crash_one(state, node, now);
+    let fault_time = sched.now();
     let redirects_at_fault = state.admission.redirects().len() as u64;
-    let at_secs = chaos_at_secs(state, now);
-    let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: "node_crash".into(),
-        node: Some(node.raw()),
-        failovers,
-        failed_over_cores,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
-    let idx = rt.report.faults.len() - 1;
-    let t_up = now + SimDuration::from_secs(downtime_secs);
+    let t_up = fault_time + SimDuration::from_secs(downtime_secs);
     if t_up <= state.end {
         sched.schedule_at(t_up, move |s: &mut ExperimentState, sc| {
-            chaos_restart_node(s, sc, node, idx, redirects_at_fault, now);
+            chaos_restart_nodes(s, sc, &nodes, record_idx, redirects_at_fault, fault_time);
         });
     }
 }
 
-/// Bring a crashed/drained node back and close its fault record.
-fn chaos_restart_node(
+/// Bring crashed/drained nodes back and close their fault record.
+fn chaos_restart_nodes(
     state: &mut ExperimentState,
     sched: &mut Scheduler<ExperimentState>,
-    node: NodeId,
+    nodes: &[NodeId],
     record_idx: usize,
     redirects_at_fault: u64,
     fault_time: SimTime,
 ) {
-    state.cluster.set_node_up(node, true);
-    toto_trace::emit(toto_trace::EventKind::ChaosNodeRestart, || {
-        toto_trace::EventBody::ChaosNodeRestart {
-            node: u64::from(node.raw()),
-        }
-    });
+    for &node in nodes {
+        state.cluster.set_node_up(node, true);
+        toto_trace::emit(toto_trace::EventKind::ChaosNodeRestart, || {
+            toto_trace::EventBody::ChaosNodeRestart {
+                node: u64::from(node.raw()),
+            }
+        });
+    }
     let redirects_now = state.admission.redirects().len() as u64;
     let recovery = sched.now().saturating_since(fault_time).as_secs();
     if let Some(rec) = state
@@ -1139,6 +1121,33 @@ fn chaos_restart_node(
         rec.redirects_delta = redirects_now.saturating_sub(redirects_at_fault);
         rec.recovery_secs = Some(recovery);
     }
+}
+
+/// `nodeCrash`: hard-kill a node drawn from the chaos RNG stream, fail
+/// over what fits, restart it after `downtime_secs`.
+fn chaos_crash(
+    state: &mut ExperimentState,
+    sched: &mut Scheduler<ExperimentState>,
+    downtime_secs: u64,
+) {
+    let now = sched.now();
+    let Some(node) = state
+        .chaos
+        .as_mut()
+        .expect("chaos handler without runtime")
+        .pick_up_node(&state.cluster)
+    else {
+        return;
+    };
+    toto_trace::emit(toto_trace::EventKind::ChaosNodeCrash, || {
+        toto_trace::EventBody::ChaosNodeCrash {
+            node: u64::from(node.raw()),
+            downtime_secs,
+        }
+    });
+    let moved = chaos_crash_one(state, node, now);
+    let idx = chaos_record(state, now, "node_crash", Some(node), moved, None);
+    chaos_schedule_restart(state, sched, vec![node], idx, downtime_secs);
 }
 
 /// `rollingRestart` slot: gracefully drain one node (all replicas moved
@@ -1157,9 +1166,7 @@ fn chaos_drain(
         return;
     }
     let node = NodeId(node_raw);
-    let result = state.plb.drain_node(&mut state.cluster, node, now);
-    let at_secs = chaos_at_secs(state, now);
-    match result {
+    match state.plb.drain_node(&mut state.cluster, node, now) {
         Ok(events) => {
             toto_trace::emit(toto_trace::EventKind::ChaosNodeDrain, || {
                 toto_trace::EventBody::ChaosNodeDrain {
@@ -1167,89 +1174,52 @@ fn chaos_drain(
                     downtime_secs,
                 }
             });
-            let failovers = events.len() as u64;
-            let failed_over_cores = drained_cores(state, &events);
+            let moved = (events.len() as u64, drained_cores(state, &events));
             process_failovers(state, events);
-            let redirects_at_fault = state.admission.redirects().len() as u64;
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "drain".into(),
-                node: Some(node.raw()),
-                failovers,
-                failed_over_cores,
-                redirects_delta: 0,
-                recovery_secs: None,
-            });
-            let idx = rt.report.faults.len() - 1;
-            let t_up = now + SimDuration::from_secs(downtime_secs);
-            if t_up <= state.end {
-                sched.schedule_at(t_up, move |s: &mut ExperimentState, sc| {
-                    chaos_restart_node(s, sc, node, idx, redirects_at_fault, now);
-                });
-            }
+            let idx = chaos_record(state, now, "drain", Some(node), moved, None);
+            chaos_schedule_restart(state, sched, vec![node], idx, downtime_secs);
         }
         Err(_) => {
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "drain_blocked".into(),
-                node: Some(node.raw()),
-                failovers: 0,
-                failed_over_cores: 0.0,
-                redirects_delta: 0,
-                recovery_secs: Some(0),
-            });
+            chaos_record(state, now, "drain_blocked", Some(node), (0, 0.0), Some(0));
         }
     }
 }
 
-/// `decommission`: drain a node and never bring it back. Like an
-/// operator pulling hardware, it refuses (records `decommission_blocked`)
-/// rather than killing a service's last live replica.
-fn chaos_decommission(
-    state: &mut ExperimentState,
-    sched: &mut Scheduler<ExperimentState>,
-    requested: Option<u32>,
-) {
+/// `decommission`: drain a node drawn from the chaos RNG stream and never
+/// bring it back. Like an operator pulling hardware, it refuses (records
+/// `decommission_blocked`) rather than killing a service's last live
+/// replica.
+fn chaos_decommission(state: &mut ExperimentState, sched: &mut Scheduler<ExperimentState>) {
     let now = sched.now();
-    let Some(node) = chaos_pick_victim(state, requested) else {
+    let Some(node) = state
+        .chaos
+        .as_mut()
+        .expect("chaos handler without runtime")
+        .pick_up_node(&state.cluster)
+    else {
         return;
     };
-    let result = state.plb.drain_node(&mut state.cluster, node, now);
-    let at_secs = chaos_at_secs(state, now);
-    match result {
+    match state.plb.drain_node(&mut state.cluster, node, now) {
         Ok(events) => {
             toto_trace::emit(toto_trace::EventKind::ChaosNodeDecommission, || {
                 toto_trace::EventBody::ChaosNodeDecommission {
                     node: u64::from(node.raw()),
                 }
             });
-            let failovers = events.len() as u64;
-            let failed_over_cores = drained_cores(state, &events);
+            let moved = (events.len() as u64, drained_cores(state, &events));
             process_failovers(state, events);
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "decommission".into(),
-                node: Some(node.raw()),
-                failovers,
-                failed_over_cores,
-                redirects_delta: 0,
-                recovery_secs: None, // permanent
-            });
+            // Permanent: the record never closes.
+            chaos_record(state, now, "decommission", Some(node), moved, None);
         }
         Err(_) => {
-            let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-            rt.report.faults.push(ChaosFaultRecord {
-                at_secs,
-                kind: "decommission_blocked".into(),
-                node: Some(node.raw()),
-                failovers: 0,
-                failed_over_cores: 0.0,
-                redirects_delta: 0,
-                recovery_secs: Some(0),
-            });
+            chaos_record(
+                state,
+                now,
+                "decommission_blocked",
+                Some(node),
+                (0, 0.0),
+                Some(0),
+            );
         }
     }
 }
@@ -1275,21 +1245,13 @@ fn chaos_degrade(
             node_capacity: new_cap,
         }
     });
-    let at_secs = chaos_at_secs(state, now);
     let rt = state.chaos.as_mut().expect("chaos handler without runtime");
     let saved = &mut rt.saved_capacity[resource.index()];
     if saved.is_none() {
         *saved = Some(prev);
     }
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: format!("capacity_degrade:{resource}"),
-        node: None,
-        failovers: 0,
-        failed_over_cores: 0.0,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
+    let kind = format!("capacity_degrade:{resource}");
+    chaos_record(state, now, kind, None, (0, 0.0), None);
 }
 
 /// Undo a `capacityDegrade` at its `restoreHour`.
@@ -1334,18 +1296,9 @@ fn chaos_report_loss_start(
     sched: &mut Scheduler<ExperimentState>,
     drop_probability: f64,
 ) {
-    let at_secs = chaos_at_secs(state, sched.now());
     let rt = state.chaos.as_mut().expect("chaos handler without runtime");
     rt.drop_probability = Some(drop_probability);
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: "report_loss".into(),
-        node: None,
-        failovers: 0,
-        failed_over_cores: 0.0,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
+    chaos_record(state, sched.now(), "report_loss", None, (0, 0.0), None);
 }
 
 /// `reportLoss` window closes.
@@ -1392,8 +1345,7 @@ fn chaos_storm(
     for &node in &nodes {
         state.cluster.set_node_up(node, false);
     }
-    let mut failovers = 0u64;
-    let mut failed_over_cores = 0.0f64;
+    let mut moved = (0u64, 0.0f64);
     for &node in &nodes {
         toto_trace::emit(toto_trace::EventKind::ChaosNodeCrash, || {
             toto_trace::EventBody::ChaosNodeCrash {
@@ -1402,48 +1354,11 @@ fn chaos_storm(
             }
         });
         let (f, c) = chaos_crash_one(state, node, now);
-        failovers += f;
-        failed_over_cores += c;
+        moved.0 += f;
+        moved.1 += c;
     }
-    let redirects_at_fault = state.admission.redirects().len() as u64;
-    let at_secs = chaos_at_secs(state, now);
-    let rt = state.chaos.as_mut().expect("chaos handler without runtime");
-    rt.report.faults.push(ChaosFaultRecord {
-        at_secs,
-        kind: "storm".into(),
-        node: None,
-        failovers,
-        failed_over_cores,
-        redirects_delta: 0,
-        recovery_secs: None,
-    });
-    let idx = rt.report.faults.len() - 1;
-    let t_up = now + SimDuration::from_secs(downtime_secs);
-    if t_up <= state.end {
-        sched.schedule_at(t_up, move |s: &mut ExperimentState, sc| {
-            for (i, &node) in nodes.iter().enumerate() {
-                s.cluster.set_node_up(node, true);
-                toto_trace::emit(toto_trace::EventKind::ChaosNodeRestart, || {
-                    toto_trace::EventBody::ChaosNodeRestart {
-                        node: u64::from(node.raw()),
-                    }
-                });
-                // Close the storm record once, from the shared end time.
-                if i == 0 {
-                    let redirects_now = s.admission.redirects().len() as u64;
-                    let recovery = sc.now().saturating_since(now).as_secs();
-                    if let Some(rec) = s
-                        .chaos
-                        .as_mut()
-                        .and_then(|rt| rt.report.faults.get_mut(idx))
-                    {
-                        rec.redirects_delta = redirects_now.saturating_sub(redirects_at_fault);
-                        rec.recovery_secs = Some(recovery);
-                    }
-                }
-            }
-        });
-    }
+    let idx = chaos_record(state, now, "storm", None, moved, None);
+    chaos_schedule_restart(state, sched, nodes, idx, downtime_secs);
 }
 
 #[cfg(test)]

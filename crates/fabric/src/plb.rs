@@ -1044,20 +1044,7 @@ impl Plb {
                 });
             }
         }
-        cluster.set_node_up(node, false);
-        let mut events = Vec::new();
-        let replicas: Vec<ReplicaId> = cluster.node(node).replicas.clone();
-        for rid in replicas {
-            if let Some(target) = self.pick_target(cluster, rid) {
-                events.push(self.execute_move(
-                    cluster,
-                    rid,
-                    target,
-                    FailoverReason::NodeDrain,
-                    now,
-                ));
-            }
-        }
+        let events = self.evacuate(cluster, node, FailoverReason::NodeDrain, now);
         debug_assert!(
             cluster.invariants_ok(),
             "drain_node broke cluster invariants"
@@ -1075,24 +1062,31 @@ impl Plb {
         node: NodeId,
         now: SimTime,
     ) -> Vec<FailoverEvent> {
+        let events = self.evacuate(cluster, node, FailoverReason::NodeCrash, now);
+        debug_assert!(
+            cluster.invariants_ok(),
+            "crash_node broke cluster invariants"
+        );
+        events
+    }
+
+    /// Mark `node` down and move every replica that has a feasible target
+    /// off it, in the node's replica order; the rest stay on the node.
+    fn evacuate(
+        &mut self,
+        cluster: &mut Cluster,
+        node: NodeId,
+        reason: FailoverReason,
+        now: SimTime,
+    ) -> Vec<FailoverEvent> {
         cluster.set_node_up(node, false);
         let mut events = Vec::new();
         let replicas: Vec<ReplicaId> = cluster.node(node).replicas.clone();
         for rid in replicas {
             if let Some(target) = self.pick_target(cluster, rid) {
-                events.push(self.execute_move(
-                    cluster,
-                    rid,
-                    target,
-                    FailoverReason::NodeCrash,
-                    now,
-                ));
+                events.push(self.execute_move(cluster, rid, target, reason, now));
             }
         }
-        debug_assert!(
-            cluster.invariants_ok(),
-            "crash_node broke cluster invariants"
-        );
         events
     }
 }

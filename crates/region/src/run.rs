@@ -98,7 +98,7 @@ impl RegionRunner {
                 .faults
                 .iter()
                 .filter_map(|f| match f {
-                    FaultSpec::Decommission { at_hour, .. } => Some(*at_hour),
+                    FaultSpec::Decommission { at_hour } => Some(*at_hour),
                     _ => None,
                 })
                 .min();

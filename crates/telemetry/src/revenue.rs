@@ -17,7 +17,7 @@ use toto_spec::EditionKind;
 pub struct BillingRecord {
     /// Raw service id.
     pub service: u64,
-    /// Edition (BC "generate[s] more revenue than Standard/GP").
+    /// Edition (BC "generate\[s\] more revenue than Standard/GP").
     pub edition: EditionKind,
     /// SLO compute price, $/hour.
     pub compute_price_per_hour: f64,
@@ -51,7 +51,7 @@ pub struct RevenueParams {
 }
 
 impl Default for RevenueParams {
-    /// The Azure SQL DB SLA the paper cites [55]: 99.99 % with credit
+    /// The Azure SQL DB SLA the paper cites \[55\]: 99.99 % with credit
     /// tiers of 10 % / 25 % / 100 % below 99.99 % / 99 % / 95 %.
     fn default() -> Self {
         RevenueParams {

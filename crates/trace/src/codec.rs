@@ -127,7 +127,7 @@ impl TraceFile {
         self.kinds.iter().find(|k| k.id == id)
     }
 
-    /// Kind name for an id ("kind<N>" if the schema is missing it).
+    /// Kind name for an id (`kind<N>` if the schema is missing it).
     pub fn kind_name(&self, id: u8) -> String {
         match self.schema(id) {
             Some(k) => k.name.clone(),
@@ -335,151 +335,7 @@ pub fn retype(file: &TraceFile, ev: &DecodedEvent) -> Option<EventBody> {
     if schema.fields != expected {
         return None;
     }
-    let vals = &ev.values;
-    let u = |i: usize| -> Option<u64> {
-        match vals.get(i)? {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    };
-    let f = |i: usize| -> Option<f64> {
-        match vals.get(i)? {
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    };
-    let s = |i: usize| -> Option<String> {
-        match vals.get(i)? {
-            Value::Str(v) => Some(v.clone()),
-            _ => None,
-        }
-    };
-    Some(match kind {
-        EventKind::Phase => EventBody::Phase { label: s(0)? },
-        EventKind::Dispatch => EventBody::Dispatch { queue_seq: u(0)? },
-        EventKind::Placement => EventBody::Placement {
-            service: u(0)?,
-            replicas: u(1)?,
-            primary_node: u(2)?,
-        },
-        EventKind::PlacementRejected => EventBody::PlacementRejected {
-            needed: u(0)?,
-            feasible: u(1)?,
-        },
-        EventKind::AnnealSummary => EventBody::AnnealSummary {
-            service: u(0)?,
-            iterations: u(1)?,
-            accepted: u(2)?,
-        },
-        EventKind::ViolationUnresolved => EventBody::ViolationUnresolved {
-            node: u(0)?,
-            resource: u(1)?,
-        },
-        EventKind::Failover => EventBody::Failover {
-            service: u(0)?,
-            replica: u(1)?,
-            from: u(2)?,
-            to: u(3)?,
-            primary: u(4)? != 0,
-            reason: s(5)?,
-            promoted: u(6)?,
-        },
-        EventKind::NamingWrite => EventBody::NamingWrite {
-            key: s(0)?,
-            version: u(1)?,
-        },
-        EventKind::MetricReport => EventBody::MetricReport {
-            service: u(0)?,
-            replica: u(1)?,
-            node: u(2)?,
-            resource: s(3)?,
-            value: f(4)?,
-        },
-        EventKind::ModelRefresh => EventBody::ModelRefresh {
-            node: u(0)?,
-            version: u(1)?,
-        },
-        EventKind::AdmissionAdmitted => EventBody::AdmissionAdmitted {
-            service: u(0)?,
-            cores: f(1)?,
-        },
-        EventKind::AdmissionRedirected => EventBody::AdmissionRedirected {
-            cores: f(0)?,
-            available: f(1)?,
-        },
-        EventKind::DbCreate => EventBody::DbCreate {
-            service: u(0)?,
-            edition: u(1)?,
-            slo: u(2)?,
-        },
-        EventKind::DbDrop => EventBody::DbDrop {
-            service: u(0)?,
-            edition: u(1)?,
-        },
-        EventKind::BootstrapPlacementFailed => EventBody::BootstrapPlacementFailed {
-            draft: u(0)?,
-            vcores: u(1)?,
-            disk_gb: f(2)?,
-        },
-        EventKind::ChaosNodeCrash => EventBody::ChaosNodeCrash {
-            node: u(0)?,
-            downtime_secs: u(1)?,
-        },
-        EventKind::ChaosNodeRestart => EventBody::ChaosNodeRestart { node: u(0)? },
-        EventKind::ChaosNodeDecommission => EventBody::ChaosNodeDecommission { node: u(0)? },
-        EventKind::ChaosCapacityDegrade => EventBody::ChaosCapacityDegrade {
-            resource: s(0)?,
-            node_capacity: f(1)?,
-        },
-        EventKind::ChaosReportDropped => EventBody::ChaosReportDropped {
-            service: u(0)?,
-            replica: u(1)?,
-            node: u(2)?,
-            resource: s(3)?,
-        },
-        EventKind::ChaosStorm => EventBody::ChaosStorm {
-            nodes: u(0)?,
-            downtime_secs: u(1)?,
-        },
-        EventKind::OracleViolation => EventBody::OracleViolation {
-            oracle: s(0)?,
-            detail: s(1)?,
-        },
-        EventKind::ChaosNodeDrain => EventBody::ChaosNodeDrain {
-            node: u(0)?,
-            downtime_secs: u(1)?,
-        },
-        EventKind::RegionRingAdmit => EventBody::RegionRingAdmit {
-            ring: s(0)?,
-            db: s(1)?,
-            cores: f(2)?,
-        },
-        EventKind::RegionRingRedirect => EventBody::RegionRingRedirect {
-            from: s(0)?,
-            to: s(1)?,
-            cores: f(2)?,
-        },
-        EventKind::RegionRingUp => EventBody::RegionRingUp {
-            ring: s(0)?,
-            nodes: u(1)?,
-            logical_cores: f(2)?,
-        },
-        EventKind::RegionRingDrain => EventBody::RegionRingDrain {
-            ring: s(0)?,
-            tenants: u(1)?,
-            cores: f(2)?,
-        },
-        EventKind::NamingDelete => EventBody::NamingDelete {
-            key: s(0)?,
-            existed: u(1)?,
-        },
-        EventKind::ScenarioFit => EventBody::ScenarioFit {
-            family: s(0)?,
-            tested: u(1)?,
-            accepted: u(2)?,
-            min_p: f(3)?,
-        },
-    })
+    EventBody::from_values(kind, &ev.values)
 }
 
 #[cfg(test)]

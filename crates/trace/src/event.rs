@@ -6,111 +6,195 @@
 //! tuples described by a static per-kind schema; the schema is embedded
 //! in every trace file so decoders never need this crate's source to be
 //! in sync with the writer (self-describing format).
+//!
+//! The vocabulary is declared once, in the `event_kinds!` table below:
+//! one entry per kind gives its doc comment, on-disk id, schema name and
+//! typed fields, and the macro expands it into [`EventKind`],
+//! [`ALL_KINDS`], [`EventKind::name`], [`EventKind::fields`],
+//! [`EventBody`], [`EventBody::kind`], [`EventBody::values`] and
+//! [`EventBody::from_values`]. A new kind is one new entry with the next
+//! id; entries are append-only — never renumber or reorder one, or old
+//! traces become unreadable.
 
-/// Discriminant for every traceable decision in the sim path.
-///
-/// The numeric value is the on-disk kind id; append-only — never renumber
-/// an existing kind, or old traces become unreadable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum EventKind {
-    /// Experiment lifecycle marker (bootstrap / run / score …).
-    Phase = 0,
-    /// One event-loop dispatch in `toto-simcore`.
-    Dispatch = 1,
-    /// PLB placed a new service.
-    Placement = 2,
-    /// PLB could not place a new service (not enough feasible nodes).
-    PlacementRejected = 3,
-    /// Summary of one simulated-annealing refinement pass.
-    AnnealSummary = 4,
-    /// A capacity violation the PLB could not resolve this pass.
-    ViolationUnresolved = 5,
-    /// A replica moved between nodes (violation fix, balance, drain…).
-    Failover = 6,
-    /// A write against the naming service.
-    NamingWrite = 7,
-    /// RG manager interposed on a replica metric report.
-    MetricReport = 8,
-    /// RG manager refreshed its create/drop model snapshot.
-    ModelRefresh = 9,
-    /// Control plane admitted a create request.
-    AdmissionAdmitted = 10,
-    /// Control plane redirected a create request away from the cluster.
-    AdmissionRedirected = 11,
-    /// Population manager created a database.
-    DbCreate = 12,
-    /// Population manager dropped a database.
-    DbDrop = 13,
-    /// Bootstrap could not place one of the initial-population drafts.
-    BootstrapPlacementFailed = 14,
-    /// Chaos injected a node crash (abrupt down, replicas failed over).
-    ChaosNodeCrash = 15,
-    /// Chaos restarted a previously crashed/upgraded node (back up).
-    ChaosNodeRestart = 16,
-    /// Chaos permanently decommissioned a node (drained, never restarts).
-    ChaosNodeDecommission = 17,
-    /// Chaos shrank (or restored) a metric's logical per-node capacity.
-    ChaosCapacityDegrade = 18,
-    /// Chaos suppressed a replica metric report at the RG-manager boundary.
-    ChaosReportDropped = 19,
-    /// Chaos triggered a correlated failover storm (several crashes at once).
-    ChaosStorm = 20,
-    /// An invariant oracle detected a violation after a dispatched event.
-    OracleViolation = 21,
-    /// Chaos drained a node gracefully (one rolling-restart step).
-    ChaosNodeDrain = 22,
-    /// Region admission placed a create into a named ring.
-    RegionRingAdmit = 23,
-    /// Region admission redirected a create between rings (or out of the
-    /// region entirely when no ring could take it).
-    RegionRingRedirect = 24,
-    /// Ring lifecycle: a ring joined region admission (build-out).
-    RegionRingUp = 25,
-    /// Ring lifecycle: a ring left region admission and drained its
-    /// tenants to sibling rings (decommission).
-    RegionRingDrain = 26,
-    /// A delete against the naming service (tombstone removal on drop).
-    NamingDelete = 27,
-    /// Scenario K-S oracle scored one synthesized stream family.
-    ScenarioFit = 28,
+/// Expands the kind table (see the module docs) into the typed vocabulary.
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident = $id:literal $name:literal {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty),* $(,)?
+        }
+    )*) => {
+        /// Discriminant for every traceable decision in the sim path.
+        ///
+        /// The numeric value is the on-disk kind id.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[$doc])* $kind = $id,)*
+        }
+
+        /// Number of defined event kinds (kind ids are `0..KIND_COUNT`).
+        pub const KIND_COUNT: usize = [$($id),*].len();
+
+        /// All kinds, in kind-id order.
+        pub const ALL_KINDS: [EventKind; KIND_COUNT] = [$(EventKind::$kind),*];
+
+        impl EventKind {
+            /// Human-readable kind name (also the on-disk schema name).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $name,)*
+                }
+            }
+
+            /// Field schema for this kind, in payload order.
+            pub fn fields(self) -> &'static [FieldDef] {
+                match self {
+                    $(EventKind::$kind => {
+                        const FIELDS: &[FieldDef] = &[$(FieldDef {
+                            name: stringify!($field),
+                            ty: <$ty as Wire>::TYPE,
+                        }),*];
+                        FIELDS
+                    })*
+                }
+            }
+        }
+
+        /// Structured payload of one trace event; variant fields are in
+        /// [`EventKind::fields`] order.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventBody {
+            $($(#[$doc])* $kind { $($(#[$field_doc])* $field: $ty),* },)*
+        }
+
+        impl EventBody {
+            /// The kind this payload belongs to.
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $(EventBody::$kind { .. } => EventKind::$kind,)*
+                }
+            }
+
+            /// Payload fields in schema order, as generic wire values.
+            pub fn values(&self) -> Vec<Value> {
+                match self {
+                    $(EventBody::$kind { $($field),* } => vec![$($field.to_value()),*],)*
+                }
+            }
+
+            /// The payload of `kind` from its wire values in schema order;
+            /// `None` if the count or a value's type does not match.
+            pub fn from_values(kind: EventKind, values: &[Value]) -> Option<EventBody> {
+                match kind {
+                    $(EventKind::$kind => {
+                        let [$($field),*] = values else {
+                            return None;
+                        };
+                        Some(EventBody::$kind { $($field: Wire::from_value($field)?),* })
+                    })*
+                }
+            }
+        }
+    };
 }
 
-/// Number of defined event kinds (kind ids are `0..COUNT`).
-pub const KIND_COUNT: usize = 29;
-
-/// All kinds, in kind-id order.
-pub const ALL_KINDS: [EventKind; KIND_COUNT] = [
-    EventKind::Phase,
-    EventKind::Dispatch,
-    EventKind::Placement,
-    EventKind::PlacementRejected,
-    EventKind::AnnealSummary,
-    EventKind::ViolationUnresolved,
-    EventKind::Failover,
-    EventKind::NamingWrite,
-    EventKind::MetricReport,
-    EventKind::ModelRefresh,
-    EventKind::AdmissionAdmitted,
-    EventKind::AdmissionRedirected,
-    EventKind::DbCreate,
-    EventKind::DbDrop,
-    EventKind::BootstrapPlacementFailed,
-    EventKind::ChaosNodeCrash,
-    EventKind::ChaosNodeRestart,
-    EventKind::ChaosNodeDecommission,
-    EventKind::ChaosCapacityDegrade,
-    EventKind::ChaosReportDropped,
-    EventKind::ChaosStorm,
-    EventKind::OracleViolation,
-    EventKind::ChaosNodeDrain,
-    EventKind::RegionRingAdmit,
-    EventKind::RegionRingRedirect,
-    EventKind::RegionRingUp,
-    EventKind::RegionRingDrain,
-    EventKind::NamingDelete,
-    EventKind::ScenarioFit,
-];
+event_kinds! {
+    /// Experiment lifecycle marker (bootstrap / run / score …).
+    Phase = 0 "phase" { label: String }
+    /// One event-loop dispatch in `toto-simcore`.
+    Dispatch = 1 "dispatch" { queue_seq: u64 }
+    /// PLB placed a new service.
+    Placement = 2 "placement" { service: u64, replicas: u64, primary_node: u64 }
+    /// PLB could not place a new service (not enough feasible nodes).
+    PlacementRejected = 3 "placement_rejected" { needed: u64, feasible: u64 }
+    /// Summary of one simulated-annealing refinement pass.
+    AnnealSummary = 4 "anneal_summary" { service: u64, iterations: u64, accepted: u64 }
+    /// A capacity violation the PLB could not resolve this pass.
+    ViolationUnresolved = 5 "violation_unresolved" { node: u64, resource: u64 }
+    /// A replica moved between nodes (violation fix, balance, drain…).
+    Failover = 6 "failover" {
+        service: u64,
+        replica: u64,
+        from: u64,
+        to: u64,
+        primary: bool,
+        reason: String,
+        /// Replica id promoted to primary as a result, or `u64::MAX`.
+        promoted: u64,
+    }
+    /// A write against the naming service.
+    NamingWrite = 7 "naming_write" { key: String, version: u64 }
+    /// RG manager interposed on a replica metric report.
+    MetricReport = 8 "metric_report" {
+        service: u64,
+        replica: u64,
+        node: u64,
+        resource: String,
+        value: f64,
+    }
+    /// RG manager refreshed its create/drop model snapshot.
+    ModelRefresh = 9 "model_refresh" { node: u64, version: u64 }
+    /// Control plane admitted a create request.
+    AdmissionAdmitted = 10 "admission_admitted" { service: u64, cores: f64 }
+    /// Control plane redirected a create request away from the cluster.
+    AdmissionRedirected = 11 "admission_redirected" { cores: f64, available: f64 }
+    /// Population manager created a database.
+    DbCreate = 12 "db_create" { service: u64, edition: u64, slo: u64 }
+    /// Population manager dropped a database.
+    DbDrop = 13 "db_drop" { service: u64, edition: u64 }
+    /// Bootstrap could not place one of the initial-population drafts.
+    BootstrapPlacementFailed = 14 "bootstrap_placement_failed" {
+        draft: u64,
+        vcores: u64,
+        disk_gb: f64,
+    }
+    /// Chaos injected a node crash (abrupt down, replicas failed over).
+    ChaosNodeCrash = 15 "chaos_node_crash" { node: u64, downtime_secs: u64 }
+    /// Chaos restarted a previously crashed/upgraded node (back up).
+    ChaosNodeRestart = 16 "chaos_node_restart" { node: u64 }
+    /// Chaos permanently decommissioned a node (drained, never restarts).
+    ChaosNodeDecommission = 17 "chaos_node_decommission" { node: u64 }
+    /// Chaos shrank (or restored) a metric's logical per-node capacity.
+    ChaosCapacityDegrade = 18 "chaos_capacity_degrade" { resource: String, node_capacity: f64 }
+    /// Chaos suppressed a replica metric report at the RG-manager boundary.
+    ChaosReportDropped = 19 "chaos_report_dropped" {
+        service: u64,
+        replica: u64,
+        node: u64,
+        resource: String,
+    }
+    /// Chaos triggered a correlated failover storm (several crashes at once).
+    ChaosStorm = 20 "chaos_storm" { nodes: u64, downtime_secs: u64 }
+    /// An invariant oracle detected a violation after a dispatched event.
+    OracleViolation = 21 "oracle_violation" { oracle: String, detail: String }
+    /// Chaos drained a node gracefully (one rolling-restart step).
+    ChaosNodeDrain = 22 "chaos_node_drain" { node: u64, downtime_secs: u64 }
+    /// Region admission placed a create into a named ring.
+    RegionRingAdmit = 23 "region_ring_admit" { ring: String, db: String, cores: f64 }
+    /// Region admission redirected a create between rings (or out of the
+    /// region entirely when no ring could take it).
+    RegionRingRedirect = 24 "region_ring_redirect" { from: String, to: String, cores: f64 }
+    /// Ring lifecycle: a ring joined region admission (build-out).
+    RegionRingUp = 25 "region_ring_up" { ring: String, nodes: u64, logical_cores: f64 }
+    /// Ring lifecycle: a ring left region admission and drained its
+    /// tenants to sibling rings (decommission).
+    RegionRingDrain = 26 "region_ring_drain" { ring: String, tenants: u64, cores: f64 }
+    /// A delete against the naming service (tombstone removal on drop).
+    NamingDelete = 27 "naming_delete" {
+        key: String,
+        /// 1 when the key existed (a record was removed), 0 for a no-op.
+        existed: u64,
+    }
+    /// Scenario K-S oracle scored one synthesized stream family.
+    ScenarioFit = 28 "scenario_fit" {
+        family: String,
+        tested: u64,
+        accepted: u64,
+        /// Smallest K-S p-value across tested cells (1.0 when none tested).
+        min_p: f64,
+    }
+}
 
 /// Bit masks for selecting which kinds a sink records.
 pub mod mask {
@@ -138,170 +222,9 @@ impl EventKind {
         ALL_KINDS.get(id as usize).copied()
     }
 
-    /// Human-readable kind name (also the on-disk schema name).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Phase => "phase",
-            EventKind::Dispatch => "dispatch",
-            EventKind::Placement => "placement",
-            EventKind::PlacementRejected => "placement_rejected",
-            EventKind::AnnealSummary => "anneal_summary",
-            EventKind::ViolationUnresolved => "violation_unresolved",
-            EventKind::Failover => "failover",
-            EventKind::NamingWrite => "naming_write",
-            EventKind::MetricReport => "metric_report",
-            EventKind::ModelRefresh => "model_refresh",
-            EventKind::AdmissionAdmitted => "admission_admitted",
-            EventKind::AdmissionRedirected => "admission_redirected",
-            EventKind::DbCreate => "db_create",
-            EventKind::DbDrop => "db_drop",
-            EventKind::BootstrapPlacementFailed => "bootstrap_placement_failed",
-            EventKind::ChaosNodeCrash => "chaos_node_crash",
-            EventKind::ChaosNodeRestart => "chaos_node_restart",
-            EventKind::ChaosNodeDecommission => "chaos_node_decommission",
-            EventKind::ChaosCapacityDegrade => "chaos_capacity_degrade",
-            EventKind::ChaosReportDropped => "chaos_report_dropped",
-            EventKind::ChaosStorm => "chaos_storm",
-            EventKind::OracleViolation => "oracle_violation",
-            EventKind::ChaosNodeDrain => "chaos_node_drain",
-            EventKind::RegionRingAdmit => "region_ring_admit",
-            EventKind::RegionRingRedirect => "region_ring_redirect",
-            EventKind::RegionRingUp => "region_ring_up",
-            EventKind::RegionRingDrain => "region_ring_drain",
-            EventKind::NamingDelete => "naming_delete",
-            EventKind::ScenarioFit => "scenario_fit",
-        }
-    }
-
     /// Look a kind up by its schema name.
     pub fn from_name(name: &str) -> Option<EventKind> {
         ALL_KINDS.iter().copied().find(|k| k.name() == name)
-    }
-
-    /// Field schema for this kind, in payload order.
-    pub fn fields(self) -> &'static [FieldDef] {
-        const PHASE: &[FieldDef] = &[FieldDef::str("label")];
-        const DISPATCH: &[FieldDef] = &[FieldDef::u64("queue_seq")];
-        const PLACEMENT: &[FieldDef] = &[
-            FieldDef::u64("service"),
-            FieldDef::u64("replicas"),
-            FieldDef::u64("primary_node"),
-        ];
-        const PLACEMENT_REJECTED: &[FieldDef] =
-            &[FieldDef::u64("needed"), FieldDef::u64("feasible")];
-        const ANNEAL_SUMMARY: &[FieldDef] = &[
-            FieldDef::u64("service"),
-            FieldDef::u64("iterations"),
-            FieldDef::u64("accepted"),
-        ];
-        const VIOLATION_UNRESOLVED: &[FieldDef] =
-            &[FieldDef::u64("node"), FieldDef::u64("resource")];
-        const FAILOVER: &[FieldDef] = &[
-            FieldDef::u64("service"),
-            FieldDef::u64("replica"),
-            FieldDef::u64("from"),
-            FieldDef::u64("to"),
-            FieldDef::u64("primary"),
-            FieldDef::str("reason"),
-            FieldDef::u64("promoted"),
-        ];
-        const NAMING_WRITE: &[FieldDef] = &[FieldDef::str("key"), FieldDef::u64("version")];
-        const METRIC_REPORT: &[FieldDef] = &[
-            FieldDef::u64("service"),
-            FieldDef::u64("replica"),
-            FieldDef::u64("node"),
-            FieldDef::str("resource"),
-            FieldDef::f64("value"),
-        ];
-        const MODEL_REFRESH: &[FieldDef] = &[FieldDef::u64("node"), FieldDef::u64("version")];
-        const ADMISSION_ADMITTED: &[FieldDef] = &[FieldDef::u64("service"), FieldDef::f64("cores")];
-        const ADMISSION_REDIRECTED: &[FieldDef] =
-            &[FieldDef::f64("cores"), FieldDef::f64("available")];
-        const DB_CREATE: &[FieldDef] = &[
-            FieldDef::u64("service"),
-            FieldDef::u64("edition"),
-            FieldDef::u64("slo"),
-        ];
-        const DB_DROP: &[FieldDef] = &[FieldDef::u64("service"), FieldDef::u64("edition")];
-        const BOOTSTRAP_PLACEMENT_FAILED: &[FieldDef] = &[
-            FieldDef::u64("draft"),
-            FieldDef::u64("vcores"),
-            FieldDef::f64("disk_gb"),
-        ];
-        const CHAOS_NODE_CRASH: &[FieldDef] =
-            &[FieldDef::u64("node"), FieldDef::u64("downtime_secs")];
-        const CHAOS_NODE_RESTART: &[FieldDef] = &[FieldDef::u64("node")];
-        const CHAOS_NODE_DECOMMISSION: &[FieldDef] = &[FieldDef::u64("node")];
-        const CHAOS_CAPACITY_DEGRADE: &[FieldDef] =
-            &[FieldDef::str("resource"), FieldDef::f64("node_capacity")];
-        const CHAOS_REPORT_DROPPED: &[FieldDef] = &[
-            FieldDef::u64("service"),
-            FieldDef::u64("replica"),
-            FieldDef::u64("node"),
-            FieldDef::str("resource"),
-        ];
-        const CHAOS_STORM: &[FieldDef] = &[FieldDef::u64("nodes"), FieldDef::u64("downtime_secs")];
-        const ORACLE_VIOLATION: &[FieldDef] = &[FieldDef::str("oracle"), FieldDef::str("detail")];
-        const CHAOS_NODE_DRAIN: &[FieldDef] =
-            &[FieldDef::u64("node"), FieldDef::u64("downtime_secs")];
-        const REGION_RING_ADMIT: &[FieldDef] = &[
-            FieldDef::str("ring"),
-            FieldDef::str("db"),
-            FieldDef::f64("cores"),
-        ];
-        const REGION_RING_REDIRECT: &[FieldDef] = &[
-            FieldDef::str("from"),
-            FieldDef::str("to"),
-            FieldDef::f64("cores"),
-        ];
-        const REGION_RING_UP: &[FieldDef] = &[
-            FieldDef::str("ring"),
-            FieldDef::u64("nodes"),
-            FieldDef::f64("logical_cores"),
-        ];
-        const REGION_RING_DRAIN: &[FieldDef] = &[
-            FieldDef::str("ring"),
-            FieldDef::u64("tenants"),
-            FieldDef::f64("cores"),
-        ];
-        const NAMING_DELETE: &[FieldDef] = &[FieldDef::str("key"), FieldDef::u64("existed")];
-        const SCENARIO_FIT: &[FieldDef] = &[
-            FieldDef::str("family"),
-            FieldDef::u64("tested"),
-            FieldDef::u64("accepted"),
-            FieldDef::f64("min_p"),
-        ];
-        match self {
-            EventKind::Phase => PHASE,
-            EventKind::Dispatch => DISPATCH,
-            EventKind::Placement => PLACEMENT,
-            EventKind::PlacementRejected => PLACEMENT_REJECTED,
-            EventKind::AnnealSummary => ANNEAL_SUMMARY,
-            EventKind::ViolationUnresolved => VIOLATION_UNRESOLVED,
-            EventKind::Failover => FAILOVER,
-            EventKind::NamingWrite => NAMING_WRITE,
-            EventKind::MetricReport => METRIC_REPORT,
-            EventKind::ModelRefresh => MODEL_REFRESH,
-            EventKind::AdmissionAdmitted => ADMISSION_ADMITTED,
-            EventKind::AdmissionRedirected => ADMISSION_REDIRECTED,
-            EventKind::DbCreate => DB_CREATE,
-            EventKind::DbDrop => DB_DROP,
-            EventKind::BootstrapPlacementFailed => BOOTSTRAP_PLACEMENT_FAILED,
-            EventKind::ChaosNodeCrash => CHAOS_NODE_CRASH,
-            EventKind::ChaosNodeRestart => CHAOS_NODE_RESTART,
-            EventKind::ChaosNodeDecommission => CHAOS_NODE_DECOMMISSION,
-            EventKind::ChaosCapacityDegrade => CHAOS_CAPACITY_DEGRADE,
-            EventKind::ChaosReportDropped => CHAOS_REPORT_DROPPED,
-            EventKind::ChaosStorm => CHAOS_STORM,
-            EventKind::OracleViolation => ORACLE_VIOLATION,
-            EventKind::ChaosNodeDrain => CHAOS_NODE_DRAIN,
-            EventKind::RegionRingAdmit => REGION_RING_ADMIT,
-            EventKind::RegionRingRedirect => REGION_RING_REDIRECT,
-            EventKind::RegionRingUp => REGION_RING_UP,
-            EventKind::RegionRingDrain => REGION_RING_DRAIN,
-            EventKind::NamingDelete => NAMING_DELETE,
-            EventKind::ScenarioFit => SCENARIO_FIT,
-        }
     }
 }
 
@@ -332,24 +255,60 @@ pub struct FieldDef {
     pub ty: FieldType,
 }
 
-impl FieldDef {
-    const fn u64(name: &'static str) -> FieldDef {
-        FieldDef {
-            name,
-            ty: FieldType::U64,
+/// How a payload field type maps to its wire form.
+trait Wire: Sized {
+    const TYPE: FieldType;
+    fn to_value(&self) -> Value;
+    fn from_value(value: &Value) -> Option<Self>;
+}
+
+impl Wire for u64 {
+    const TYPE: FieldType = FieldType::U64;
+    fn to_value(&self) -> Value {
+        Value::U64(*self)
+    }
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::U64(v) => Some(*v),
+            _ => None,
         }
     }
-    const fn f64(name: &'static str) -> FieldDef {
-        FieldDef {
-            name,
-            ty: FieldType::F64,
+}
+
+impl Wire for f64 {
+    const TYPE: FieldType = FieldType::F64;
+    fn to_value(&self) -> Value {
+        Value::F64(*self)
+    }
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::F64(v) => Some(*v),
+            _ => None,
         }
     }
-    const fn str(name: &'static str) -> FieldDef {
-        FieldDef {
-            name,
-            ty: FieldType::Str,
+}
+
+impl Wire for String {
+    const TYPE: FieldType = FieldType::Str;
+    fn to_value(&self) -> Value {
+        Value::Str(self.clone())
+    }
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::Str(v) => Some(v.clone()),
+            _ => None,
         }
+    }
+}
+
+/// A flag travels as a `U64` 0/1; any non-zero value reads back as `true`.
+impl Wire for bool {
+    const TYPE: FieldType = FieldType::U64;
+    fn to_value(&self) -> Value {
+        Value::U64(u64::from(*self))
+    }
+    fn from_value(value: &Value) -> Option<Self> {
+        u64::from_value(value).map(|v| v != 0)
     }
 }
 
@@ -382,351 +341,6 @@ impl std::fmt::Display for Value {
             Value::U64(v) => write!(f, "{v}"),
             Value::F64(v) => write!(f, "{v}"),
             Value::Str(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-/// Structured payload of one trace event.
-///
-/// Variant field order must match [`EventKind::fields`]; `values()` is the
-/// single bridge between the typed enum and the generic wire encoding.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventBody {
-    Phase {
-        label: String,
-    },
-    Dispatch {
-        queue_seq: u64,
-    },
-    Placement {
-        service: u64,
-        replicas: u64,
-        primary_node: u64,
-    },
-    PlacementRejected {
-        needed: u64,
-        feasible: u64,
-    },
-    AnnealSummary {
-        service: u64,
-        iterations: u64,
-        accepted: u64,
-    },
-    ViolationUnresolved {
-        node: u64,
-        resource: u64,
-    },
-    Failover {
-        service: u64,
-        replica: u64,
-        from: u64,
-        to: u64,
-        primary: bool,
-        reason: String,
-        /// Replica id promoted to primary as a result, or `u64::MAX`.
-        promoted: u64,
-    },
-    NamingWrite {
-        key: String,
-        version: u64,
-    },
-    MetricReport {
-        service: u64,
-        replica: u64,
-        node: u64,
-        resource: String,
-        value: f64,
-    },
-    ModelRefresh {
-        node: u64,
-        version: u64,
-    },
-    AdmissionAdmitted {
-        service: u64,
-        cores: f64,
-    },
-    AdmissionRedirected {
-        cores: f64,
-        available: f64,
-    },
-    DbCreate {
-        service: u64,
-        edition: u64,
-        slo: u64,
-    },
-    DbDrop {
-        service: u64,
-        edition: u64,
-    },
-    BootstrapPlacementFailed {
-        draft: u64,
-        vcores: u64,
-        disk_gb: f64,
-    },
-    ChaosNodeCrash {
-        node: u64,
-        downtime_secs: u64,
-    },
-    ChaosNodeRestart {
-        node: u64,
-    },
-    ChaosNodeDecommission {
-        node: u64,
-    },
-    ChaosCapacityDegrade {
-        resource: String,
-        node_capacity: f64,
-    },
-    ChaosReportDropped {
-        service: u64,
-        replica: u64,
-        node: u64,
-        resource: String,
-    },
-    ChaosStorm {
-        nodes: u64,
-        downtime_secs: u64,
-    },
-    OracleViolation {
-        oracle: String,
-        detail: String,
-    },
-    ChaosNodeDrain {
-        node: u64,
-        downtime_secs: u64,
-    },
-    RegionRingAdmit {
-        ring: String,
-        db: String,
-        cores: f64,
-    },
-    RegionRingRedirect {
-        from: String,
-        to: String,
-        cores: f64,
-    },
-    RegionRingUp {
-        ring: String,
-        nodes: u64,
-        logical_cores: f64,
-    },
-    RegionRingDrain {
-        ring: String,
-        tenants: u64,
-        cores: f64,
-    },
-    NamingDelete {
-        key: String,
-        /// 1 when the key existed (a record was removed), 0 for a no-op.
-        existed: u64,
-    },
-    ScenarioFit {
-        family: String,
-        tested: u64,
-        accepted: u64,
-        /// Smallest K-S p-value across tested cells (1.0 when none tested).
-        min_p: f64,
-    },
-}
-
-impl EventBody {
-    /// The kind this payload belongs to.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            EventBody::Phase { .. } => EventKind::Phase,
-            EventBody::Dispatch { .. } => EventKind::Dispatch,
-            EventBody::Placement { .. } => EventKind::Placement,
-            EventBody::PlacementRejected { .. } => EventKind::PlacementRejected,
-            EventBody::AnnealSummary { .. } => EventKind::AnnealSummary,
-            EventBody::ViolationUnresolved { .. } => EventKind::ViolationUnresolved,
-            EventBody::Failover { .. } => EventKind::Failover,
-            EventBody::NamingWrite { .. } => EventKind::NamingWrite,
-            EventBody::MetricReport { .. } => EventKind::MetricReport,
-            EventBody::ModelRefresh { .. } => EventKind::ModelRefresh,
-            EventBody::AdmissionAdmitted { .. } => EventKind::AdmissionAdmitted,
-            EventBody::AdmissionRedirected { .. } => EventKind::AdmissionRedirected,
-            EventBody::DbCreate { .. } => EventKind::DbCreate,
-            EventBody::DbDrop { .. } => EventKind::DbDrop,
-            EventBody::BootstrapPlacementFailed { .. } => EventKind::BootstrapPlacementFailed,
-            EventBody::ChaosNodeCrash { .. } => EventKind::ChaosNodeCrash,
-            EventBody::ChaosNodeRestart { .. } => EventKind::ChaosNodeRestart,
-            EventBody::ChaosNodeDecommission { .. } => EventKind::ChaosNodeDecommission,
-            EventBody::ChaosCapacityDegrade { .. } => EventKind::ChaosCapacityDegrade,
-            EventBody::ChaosReportDropped { .. } => EventKind::ChaosReportDropped,
-            EventBody::ChaosStorm { .. } => EventKind::ChaosStorm,
-            EventBody::OracleViolation { .. } => EventKind::OracleViolation,
-            EventBody::ChaosNodeDrain { .. } => EventKind::ChaosNodeDrain,
-            EventBody::RegionRingAdmit { .. } => EventKind::RegionRingAdmit,
-            EventBody::RegionRingRedirect { .. } => EventKind::RegionRingRedirect,
-            EventBody::RegionRingUp { .. } => EventKind::RegionRingUp,
-            EventBody::RegionRingDrain { .. } => EventKind::RegionRingDrain,
-            EventBody::NamingDelete { .. } => EventKind::NamingDelete,
-            EventBody::ScenarioFit { .. } => EventKind::ScenarioFit,
-        }
-    }
-
-    /// Payload fields in schema order, as generic wire values.
-    pub fn values(&self) -> Vec<Value> {
-        match self {
-            EventBody::Phase { label } => vec![Value::Str(label.clone())],
-            EventBody::Dispatch { queue_seq } => vec![Value::U64(*queue_seq)],
-            EventBody::Placement {
-                service,
-                replicas,
-                primary_node,
-            } => vec![
-                Value::U64(*service),
-                Value::U64(*replicas),
-                Value::U64(*primary_node),
-            ],
-            EventBody::PlacementRejected { needed, feasible } => {
-                vec![Value::U64(*needed), Value::U64(*feasible)]
-            }
-            EventBody::AnnealSummary {
-                service,
-                iterations,
-                accepted,
-            } => vec![
-                Value::U64(*service),
-                Value::U64(*iterations),
-                Value::U64(*accepted),
-            ],
-            EventBody::ViolationUnresolved { node, resource } => {
-                vec![Value::U64(*node), Value::U64(*resource)]
-            }
-            EventBody::Failover {
-                service,
-                replica,
-                from,
-                to,
-                primary,
-                reason,
-                promoted,
-            } => vec![
-                Value::U64(*service),
-                Value::U64(*replica),
-                Value::U64(*from),
-                Value::U64(*to),
-                Value::U64(u64::from(*primary)),
-                Value::Str(reason.clone()),
-                Value::U64(*promoted),
-            ],
-            EventBody::NamingWrite { key, version } => {
-                vec![Value::Str(key.clone()), Value::U64(*version)]
-            }
-            EventBody::MetricReport {
-                service,
-                replica,
-                node,
-                resource,
-                value,
-            } => vec![
-                Value::U64(*service),
-                Value::U64(*replica),
-                Value::U64(*node),
-                Value::Str(resource.clone()),
-                Value::F64(*value),
-            ],
-            EventBody::ModelRefresh { node, version } => {
-                vec![Value::U64(*node), Value::U64(*version)]
-            }
-            EventBody::AdmissionAdmitted { service, cores } => {
-                vec![Value::U64(*service), Value::F64(*cores)]
-            }
-            EventBody::AdmissionRedirected { cores, available } => {
-                vec![Value::F64(*cores), Value::F64(*available)]
-            }
-            EventBody::DbCreate {
-                service,
-                edition,
-                slo,
-            } => vec![Value::U64(*service), Value::U64(*edition), Value::U64(*slo)],
-            EventBody::DbDrop { service, edition } => {
-                vec![Value::U64(*service), Value::U64(*edition)]
-            }
-            EventBody::BootstrapPlacementFailed {
-                draft,
-                vcores,
-                disk_gb,
-            } => vec![
-                Value::U64(*draft),
-                Value::U64(*vcores),
-                Value::F64(*disk_gb),
-            ],
-            EventBody::ChaosNodeCrash {
-                node,
-                downtime_secs,
-            } => vec![Value::U64(*node), Value::U64(*downtime_secs)],
-            EventBody::ChaosNodeRestart { node } => vec![Value::U64(*node)],
-            EventBody::ChaosNodeDecommission { node } => vec![Value::U64(*node)],
-            EventBody::ChaosCapacityDegrade {
-                resource,
-                node_capacity,
-            } => vec![Value::Str(resource.clone()), Value::F64(*node_capacity)],
-            EventBody::ChaosReportDropped {
-                service,
-                replica,
-                node,
-                resource,
-            } => vec![
-                Value::U64(*service),
-                Value::U64(*replica),
-                Value::U64(*node),
-                Value::Str(resource.clone()),
-            ],
-            EventBody::ChaosStorm {
-                nodes,
-                downtime_secs,
-            } => vec![Value::U64(*nodes), Value::U64(*downtime_secs)],
-            EventBody::OracleViolation { oracle, detail } => {
-                vec![Value::Str(oracle.clone()), Value::Str(detail.clone())]
-            }
-            EventBody::ChaosNodeDrain {
-                node,
-                downtime_secs,
-            } => vec![Value::U64(*node), Value::U64(*downtime_secs)],
-            EventBody::RegionRingAdmit { ring, db, cores } => vec![
-                Value::Str(ring.clone()),
-                Value::Str(db.clone()),
-                Value::F64(*cores),
-            ],
-            EventBody::RegionRingRedirect { from, to, cores } => vec![
-                Value::Str(from.clone()),
-                Value::Str(to.clone()),
-                Value::F64(*cores),
-            ],
-            EventBody::RegionRingUp {
-                ring,
-                nodes,
-                logical_cores,
-            } => vec![
-                Value::Str(ring.clone()),
-                Value::U64(*nodes),
-                Value::F64(*logical_cores),
-            ],
-            EventBody::RegionRingDrain {
-                ring,
-                tenants,
-                cores,
-            } => vec![
-                Value::Str(ring.clone()),
-                Value::U64(*tenants),
-                Value::F64(*cores),
-            ],
-            EventBody::NamingDelete { key, existed } => {
-                vec![Value::Str(key.clone()), Value::U64(*existed)]
-            }
-            EventBody::ScenarioFit {
-                family,
-                tested,
-                accepted,
-                min_p,
-            } => vec![
-                Value::Str(family.clone()),
-                Value::U64(*tested),
-                Value::U64(*accepted),
-                Value::F64(*min_p),
-            ],
         }
     }
 }
@@ -773,149 +387,31 @@ mod tests {
     }
 
     #[test]
-    fn body_values_match_schema() {
-        let bodies = vec![
-            EventBody::Phase {
-                label: "run".into(),
-            },
-            EventBody::Dispatch { queue_seq: 7 },
-            EventBody::Placement {
-                service: 1,
-                replicas: 2,
-                primary_node: 3,
-            },
-            EventBody::PlacementRejected {
-                needed: 4,
-                feasible: 1,
-            },
-            EventBody::AnnealSummary {
-                service: 1,
-                iterations: 200,
-                accepted: 12,
-            },
-            EventBody::ViolationUnresolved {
-                node: 5,
-                resource: 0,
-            },
-            EventBody::Failover {
-                service: 9,
-                replica: 1,
-                from: 2,
-                to: 3,
-                primary: true,
-                reason: "capacity_violation".into(),
-                promoted: u64::MAX,
-            },
-            EventBody::NamingWrite {
-                key: "toto/models".into(),
-                version: 3,
-            },
-            EventBody::MetricReport {
-                service: 9,
-                replica: 0,
-                node: 2,
-                resource: "cpu".into(),
-                value: 0.25,
-            },
-            EventBody::ModelRefresh {
-                node: 2,
-                version: 4,
-            },
-            EventBody::AdmissionAdmitted {
-                service: 10,
-                cores: 4.0,
-            },
-            EventBody::AdmissionRedirected {
-                cores: 8.0,
-                available: 2.5,
-            },
-            EventBody::DbCreate {
-                service: 10,
-                edition: 1,
-                slo: 42,
-            },
-            EventBody::DbDrop {
-                service: 10,
-                edition: 1,
-            },
-            EventBody::BootstrapPlacementFailed {
-                draft: 3,
-                vcores: 16,
-                disk_gb: 1024.0,
-            },
-            EventBody::ChaosNodeCrash {
-                node: 4,
-                downtime_secs: 1800,
-            },
-            EventBody::ChaosNodeRestart { node: 4 },
-            EventBody::ChaosNodeDecommission { node: 6 },
-            EventBody::ChaosCapacityDegrade {
-                resource: "Disk".into(),
-                node_capacity: 18_000.0,
-            },
-            EventBody::ChaosReportDropped {
-                service: 9,
-                replica: 0,
-                node: 2,
-                resource: "cpu".into(),
-            },
-            EventBody::ChaosStorm {
-                nodes: 3,
-                downtime_secs: 900,
-            },
-            EventBody::OracleViolation {
-                oracle: "replica_on_down_node".into(),
-                detail: "replica 7 on node 4".into(),
-            },
-            EventBody::ChaosNodeDrain {
-                node: 5,
-                downtime_secs: 3600,
-            },
-            EventBody::RegionRingAdmit {
-                ring: "ring-1".into(),
-                db: "gp_4-17".into(),
-                cores: 4.0,
-            },
-            EventBody::RegionRingRedirect {
-                from: "ring-0".into(),
-                to: "ring-2".into(),
-                cores: 96.0,
-            },
-            EventBody::RegionRingUp {
-                ring: "ring-3".into(),
-                nodes: 14,
-                logical_cores: 1344.0,
-            },
-            EventBody::RegionRingDrain {
-                ring: "ring-1".into(),
-                tenants: 42,
-                cores: 380.0,
-            },
-            EventBody::NamingDelete {
-                key: "services/gp_4-17".into(),
-                existed: 1,
-            },
-            EventBody::ScenarioFit {
-                family: "creates/gp".into(),
-                tested: 48,
-                accepted: 47,
-                min_p: 0.03,
-            },
+    fn from_values_checks_count_and_types() {
+        let kind = EventKind::Dispatch;
+        assert_eq!(
+            EventBody::from_values(kind, &[Value::U64(5)]),
+            Some(EventBody::Dispatch { queue_seq: 5 })
+        );
+        assert_eq!(EventBody::from_values(kind, &[]), None);
+        assert_eq!(
+            EventBody::from_values(kind, &[Value::U64(5), Value::U64(6)]),
+            None
+        );
+        assert_eq!(EventBody::from_values(kind, &[Value::F64(5.0)]), None);
+        // A flag reads any non-zero U64 as true.
+        let values = [
+            Value::U64(9),
+            Value::U64(1),
+            Value::U64(2),
+            Value::U64(3),
+            Value::U64(2), // primary
+            Value::Str("node_crash".into()),
+            Value::U64(u64::MAX),
         ];
-        assert_eq!(bodies.len(), KIND_COUNT);
-        for body in bodies {
-            let kind = body.kind();
-            let values = body.values();
-            assert_eq!(values.len(), kind.fields().len(), "kind {}", kind.name());
-            for (def, val) in kind.fields().iter().zip(&values) {
-                let ok = matches!(
-                    (def.ty, val),
-                    (FieldType::U64, Value::U64(_))
-                        | (FieldType::F64, Value::F64(_))
-                        | (FieldType::Str, Value::Str(_))
-                );
-                assert!(ok, "field {} of {} has wrong type", def.name, kind.name());
-            }
+        match EventBody::from_values(EventKind::Failover, &values) {
+            Some(EventBody::Failover { primary, .. }) => assert!(primary),
+            other => panic!("failover did not re-type: {other:?}"),
         }
     }
 

@@ -21,6 +21,12 @@
 //!    sink through every simulator signature. One sink per thread also
 //!    matches the fleet executor's job-per-worker model.
 //!
+//! The event vocabulary — every kind with its on-disk id, schema name
+//! and typed fields — is declared once, in one table in [`event`];
+//! [`EventKind`], [`EventBody`] and the per-kind schema embedded in every
+//! trace file are all expanded from it. A new kind is one table entry
+//! with the next id; entries are append-only.
+//!
 //! Sinks: [`NullSink`] (disabled), [`RingSink`] (bounded in-memory flight
 //! recorder), [`BufferSink`] (full trace in the compact self-describing
 //! binary format of [`codec`]). Wrap a sink in

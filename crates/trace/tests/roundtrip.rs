@@ -175,6 +175,16 @@ fn every_kind_round_trips_through_buffer_sink() {
         .collect();
     assert_eq!(retyped, events);
     assert_eq!(encode_all(&retyped), bytes, "re-encode is byte-identical");
+    // The wire bytes themselves are pinned: header plus one event per kind.
+    assert_eq!(bytes.len(), 1_567, "encoded length");
+    assert_eq!(fnv1a64(&bytes), 0x1f9a_e060_3070_4ffb, "encoded bytes");
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
