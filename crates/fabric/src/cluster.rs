@@ -11,14 +11,22 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use toto_simcore::time::SimTime;
 
-/// Source of node change stamps, shared by every cluster in the process
-/// so that no two mutations anywhere ever receive the same stamp. Equal
-/// stamps then imply equal node content across clones and across rings,
-/// which is what lets one [`crate::plb::Plb`] keep its cached ranking
-/// while it is handed different rings. Stamp 0 is never issued: it
+/// Source of node and placement change stamps, shared by every cluster
+/// in the process so that no two mutations anywhere ever receive the
+/// same stamp. Equal stamps then imply equal content across clones and
+/// across rings, which is what lets one [`crate::plb::Plb`] keep its
+/// cached ranking, and one invariant oracle its placement snapshot,
+/// while they are handed different rings. Stamp 0 is never issued: it
 /// marks a node never mutated since [`Cluster::new`], which is the same
-/// zero-load, up node in every ring.
+/// zero-load, up node in every ring, and a ring that has never placed a
+/// replica.
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// Draw a fresh stamp. `Relaxed` suffices: the counter publishes no
+/// other data, and `fetch_add` alone makes every stamp unique.
+fn next_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Map an `f64` cost to a `u64` whose unsigned order matches
 /// [`f64::total_cmp`]. Used as the ordering key of the candidate-node
@@ -203,6 +211,9 @@ pub struct Cluster {
     /// have changed. It only tells the PLB's ranking cache which nodes to
     /// recompute; no stamp reaches a decision or an artifact.
     stamps: Vec<u64>,
+    /// Placement change stamp: drawn afresh from the same counter
+    /// whenever a replica is added, moved or removed.
+    placement_stamp: u64,
 }
 
 impl Cluster {
@@ -255,19 +266,27 @@ impl Cluster {
             touched: Vec::new(),
             touched_mark: vec![false; config.node_count as usize],
             stamps: vec![0; config.node_count as usize],
+            placement_stamp: 0,
         }
     }
 
-    /// Give a node a fresh change stamp. `Relaxed` suffices: the counter
-    /// publishes no other data, and `fetch_add` alone makes every stamp
-    /// unique.
+    /// Give a node a fresh change stamp.
     fn stamp(&mut self, node: NodeId) {
-        self.stamps[node.0 as usize] = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        self.stamps[node.0 as usize] = next_stamp();
     }
 
     /// Every node's change stamp, indexed by raw node id.
     pub(crate) fn node_stamps(&self) -> &[u64] {
         &self.stamps
+    }
+
+    /// The placement change stamp: equal stamps mean equal `(replica,
+    /// node)` placements, in this ring or any clone of it.
+    /// [`Cluster::add_service`], [`Cluster::remove_service`] and
+    /// [`Cluster::move_replica`] draw a fresh one; load reports, node
+    /// up/down changes and promotions do not.
+    pub fn placement_stamp(&self) -> u64 {
+        self.placement_stamp
     }
 
     /// Recompute one node's cached cost from its current aggregate load.
@@ -413,6 +432,7 @@ impl Cluster {
         }
         let service_id = ServiceId(self.next_service);
         self.next_service += 1;
+        self.placement_stamp = next_stamp();
         let mut replica_ids = Vec::with_capacity(placement.len());
         for (i, &node) in placement.iter().enumerate() {
             let replica_id = ReplicaId(self.next_replica);
@@ -456,6 +476,7 @@ impl Cluster {
     /// record, or `None` if the id is unknown.
     pub fn remove_service(&mut self, id: ServiceId) -> Option<Service> {
         let svc = self.services.remove(&id)?;
+        self.placement_stamp = next_stamp();
         for rid in &svc.replicas {
             if let Some(rep) = self.replicas.get_mut(rid.0 as usize).and_then(Option::take) {
                 let node = &mut self.nodes[rep.node.0 as usize];
@@ -538,6 +559,7 @@ impl Cluster {
             !self.nodes[to.0 as usize].hosts_service(service),
             "destination {to} already hosts a replica of {service}"
         );
+        self.placement_stamp = next_stamp();
         let rep = self.replica_mut(replica).expect("checked above");
         rep.node = to;
         let load = rep.load.clone();
@@ -980,6 +1002,31 @@ mod tests {
         c.remove_service(id);
         verify(&c);
         assert_eq!(c.node_cost(NodeId(1)), 0.0);
+    }
+
+    #[test]
+    fn placement_stamp_moves_only_with_placements() {
+        let (mut c, _, disk) = two_metric_cluster(3);
+        let (fresh, _, _) = two_metric_cluster(3);
+        assert_eq!(c.placement_stamp(), fresh.placement_stamp());
+        let s = spec(&c, 6.0, 120.0, 2);
+        let id = c.add_service(&s, &[NodeId(0), NodeId(2)], SimTime::ZERO);
+        let placed = c.placement_stamp();
+        assert_ne!(placed, fresh.placement_stamp());
+        let rid = c.service(id).unwrap().replicas[0];
+        let secondary = c.service(id).unwrap().replicas[1];
+        c.report_load(rid, disk, 480.0);
+        c.set_node_up(NodeId(1), false);
+        c.promote(secondary);
+        assert_eq!(c.placement_stamp(), placed);
+        assert_eq!(c.clone().placement_stamp(), placed);
+        c.move_replica(rid, NodeId(1));
+        let moved = c.placement_stamp();
+        assert_ne!(moved, placed);
+        assert!(c.remove_service(ServiceId(99)).is_none());
+        assert_eq!(c.placement_stamp(), moved);
+        c.remove_service(id);
+        assert_ne!(c.placement_stamp(), moved);
     }
 
     #[test]

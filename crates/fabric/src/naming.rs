@@ -15,6 +15,13 @@
 //! formats.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of key-set stamps, shared by every store in the process so
+/// that two different stores never hold the same stamp unless one is a
+/// clone of the other with no key created or deleted since. Stamp 0 is
+/// never issued: it marks a store that has never held a key.
+static NEXT_KEY_SET_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// A stored value.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,6 +93,9 @@ pub struct NamingService {
     entries: BTreeMap<String, Entry>,
     counter: u64,
     stats: NamingStats,
+    /// Drawn afresh whenever a key is created or an existing key is
+    /// deleted; overwrites keep it. See [`NamingService::key_set_stamp`].
+    key_set_stamp: u64,
 }
 
 impl NamingService {
@@ -109,6 +119,7 @@ impl NamingService {
             None => {
                 self.entries
                     .insert(key.to_string(), Entry { value, version });
+                self.restamp_key_set();
             }
         }
         self.emit_write(key, version);
@@ -147,6 +158,7 @@ impl NamingService {
                             version,
                         },
                     );
+                    self.restamp_key_set();
                 }
             }
             debug_assert!(
@@ -156,6 +168,13 @@ impl NamingService {
             self.emit_write(key, version);
         }
         value
+    }
+
+    /// Draw a fresh key-set stamp. `Relaxed` suffices: the counter
+    /// publishes no other data, and `fetch_add` alone makes every stamp
+    /// unique.
+    fn restamp_key_set(&mut self) {
+        self.key_set_stamp = NEXT_KEY_SET_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
     fn bump_write(&mut self) -> u64 {
@@ -195,6 +214,7 @@ impl NamingService {
         let existed = self.entries.remove(key).is_some();
         if existed {
             self.stats.deletes += 1;
+            self.restamp_key_set();
         }
         toto_trace::emit(toto_trace::EventKind::NamingDelete, || {
             toto_trace::EventBody::NamingDelete {
@@ -222,9 +242,18 @@ impl NamingService {
         self.entries.is_empty()
     }
 
+    /// The key-set stamp: equal stamps mean equal key sets, in this
+    /// store or any clone of it. Creating a key or deleting an existing
+    /// one draws a fresh stamp; overwriting a key, reading and deleting
+    /// an absent key do not. Lets a reader that depends only on which
+    /// keys exist (the chaos oracle's naming check) skip its scan while
+    /// the set stands still.
+    pub fn key_set_stamp(&self) -> u64 {
+        self.key_set_stamp
+    }
+
     /// Keys with a given prefix, in lexicographic order. Borrows from
-    /// the store — the chaos oracle walks every persisted-state key
-    /// after every dispatched event, so this path must not clone.
+    /// the store, so a scan does not clone.
     pub fn keys_with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
         self.entries
             .range::<str, _>((
@@ -281,6 +310,30 @@ mod tests {
         assert_eq!(st.reads, 2);
         assert_eq!(st.deletes, 1);
         assert!(ns.is_empty());
+    }
+
+    #[test]
+    fn key_set_stamp_moves_only_when_the_key_set_does() {
+        let mut ns = NamingService::new();
+        assert_eq!(ns.key_set_stamp(), NamingService::new().key_set_stamp());
+        ns.write("a", "1");
+        let created = ns.key_set_stamp();
+        ns.write("a", "2");
+        ns.update_num("a", true, |_| 3.0);
+        ns.update_num("b", false, |_| 3.0);
+        ns.get("a");
+        assert!(!ns.delete("b"));
+        assert_eq!(ns.key_set_stamp(), created);
+        assert_eq!(ns.clone().key_set_stamp(), created);
+        ns.update_num("b", true, |_| 3.0);
+        let inserted = ns.key_set_stamp();
+        assert_ne!(inserted, created);
+        assert!(ns.delete("b"));
+        assert_ne!(ns.key_set_stamp(), inserted);
+        // Two stores with equal write histories never share a stamp.
+        let mut other = NamingService::new();
+        other.write("a", "1");
+        assert_ne!(other.key_set_stamp(), created);
     }
 
     #[test]
