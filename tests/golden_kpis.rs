@@ -19,7 +19,14 @@
 //! region aggregates) is the snapshot, so drift anywhere in the region
 //! pipeline — Phase A routing, directed replay, aggregation — is caught
 //! field-by-field.
+//!
+//! Each of the six named chaos plans is pinned too (`chaos-<plan>.json`):
+//! the density-140 tier's `KpiSummary` under that plan plus the run's
+//! whole `ChaosReport`, so fault injection, recovery accounting and the
+//! oracle's check count are held byte-for-byte.
 
+use toto::{ExperimentOverrides, ExperimentResult};
+use toto_chaos::ChaosPlan;
 use toto_fleet::FleetPlan;
 use toto_spec::ScenarioSpec;
 use toto_telemetry::kpi::KpiSummary;
@@ -60,30 +67,27 @@ fn kpi_json(k: &KpiSummary) -> String {
     )
 }
 
-/// The pinned run for one tier: seeds derived exactly as the
-/// `density_sweep` scenario derives them, so the snapshot covers the
-/// production seed path too.
-fn golden_run(density: u32) -> KpiSummary {
+/// The pinned run for one tier under `overrides`: seeds derived exactly
+/// as the `density_sweep` scenario derives them, so the snapshot covers
+/// the production seed path too.
+fn golden_run(density: u32, overrides: ExperimentOverrides) -> ExperimentResult {
     let mut scenario = ScenarioSpec::gen5_stage_cluster(density);
     scenario.duration_hours = GOLDEN_HOURS;
     let mut plan = FleetPlan::new(GOLDEN_SEED);
-    plan.add(format!("density-{density}"), scenario, Default::default());
+    plan.add(format!("density-{density}"), scenario, overrides);
     let job = &plan.jobs()[0];
-    job.execute().telemetry.summarize()
+    job.execute()
 }
 
-fn golden_path(density: u32) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// Compare `actual` with `tests/golden/<name>.json`, or rewrite the
+/// snapshot under `TOTO_BLESS`.
+fn check_snapshot(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("density-{density}.json"))
-}
-
-fn check_tier(density: u32) {
-    let actual = kpi_json(&golden_run(density));
-    let path = golden_path(density);
+        .join(format!("{name}.json"));
     if std::env::var_os("TOTO_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
+        std::fs::write(&path, actual).unwrap();
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -95,9 +99,34 @@ fn check_tier(density: u32) {
     });
     assert_eq!(
         actual, expected,
-        "KPI snapshot for density-{density} drifted; if the change is \
-         intentional, regenerate with TOTO_BLESS=1 cargo test --test golden_kpis"
+        "snapshot {name} drifted; if the change is intentional, \
+         regenerate with TOTO_BLESS=1 cargo test --test golden_kpis"
     );
+}
+
+fn check_tier(density: u32) {
+    let result = golden_run(density, ExperimentOverrides::default());
+    check_snapshot(
+        &format!("density-{density}"),
+        &kpi_json(&result.telemetry.summarize()),
+    );
+}
+
+/// The density-140 tier under the named chaos plan `plan`: its KPIs and
+/// its chaos report, one JSON object.
+fn check_chaos(plan: &str) {
+    let overrides = ExperimentOverrides {
+        chaos: ChaosPlan::named(plan).expect("built-in chaos plan"),
+        ..ExperimentOverrides::default()
+    };
+    let result = golden_run(DENSITIES[3], overrides);
+    let chaos = result.chaos.expect("a chaos run returns a chaos report");
+    let actual = format!(
+        "{{\n\"kpis\": {},\n\"chaos\": {}}}\n",
+        kpi_json(&result.telemetry.summarize()).trim_end(),
+        chaos.to_json().trim_end()
+    );
+    check_snapshot(&format!("chaos-{plan}"), &actual);
 }
 
 #[test]
@@ -118,6 +147,36 @@ fn golden_kpis_density_120() {
 #[test]
 fn golden_kpis_density_140() {
     check_tier(DENSITIES[3]);
+}
+
+#[test]
+fn golden_chaos_node_crash() {
+    check_chaos("node-crash");
+}
+
+#[test]
+fn golden_chaos_storm() {
+    check_chaos("storm");
+}
+
+#[test]
+fn golden_chaos_degrade() {
+    check_chaos("degrade");
+}
+
+#[test]
+fn golden_chaos_report_loss() {
+    check_chaos("report-loss");
+}
+
+#[test]
+fn golden_chaos_rolling() {
+    check_chaos("rolling");
+}
+
+#[test]
+fn golden_chaos_decommission() {
+    check_chaos("decommission");
 }
 
 #[test]
@@ -148,24 +207,7 @@ fn golden_hyperscale_smoke() {
     let actual = std::fs::read_to_string(&record)
         .unwrap_or_else(|e| panic!("missing run record {} ({e})", record.display()));
     let _ = std::fs::remove_dir_all(&out);
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/hyperscale-smoke.json");
-    if std::env::var_os("TOTO_BLESS").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate with \
-             TOTO_BLESS=1 cargo test --test golden_kpis",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "hyperscale_smoke run record drifted; if the change is intentional, \
-         regenerate with TOTO_BLESS=1 cargo test --test golden_kpis"
-    );
+    check_snapshot("hyperscale-smoke", &actual);
 }
 
 #[test]
@@ -174,22 +216,5 @@ fn golden_region_ci2() {
     let output = toto_region::RegionRunner::default().run(&spec, "golden-region");
     assert!(output.all_completed, "region ring jobs must complete");
     let actual = output.record.to_json().render() + "\n";
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/region-ci2.json");
-    if std::env::var_os("TOTO_BLESS").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate with \
-             TOTO_BLESS=1 cargo test --test golden_kpis",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "region record snapshot drifted; if the change is intentional, \
-         regenerate with TOTO_BLESS=1 cargo test --test golden_kpis"
-    );
+    check_snapshot("region-ci2", &actual);
 }
