@@ -7,14 +7,14 @@
 //! is decided at injection time from the experiment's seeded chaos RNG
 //! stream, so a `(spec, seed)` pair replays byte-identically.
 //!
-//! Plans are compiled ([`ChaosPlan::compile`]) into a flat, time-sorted
-//! list of primitive [`ChaosAction`]s before the run starts; the runner
-//! schedules one simulation event per action.
+//! A [`FaultSpec`] is the only fault type: the experiment runner
+//! schedules each declared fault's events itself (one per rolling-restart
+//! node, a degrade's restore, both ends of a report-loss window).
 
 use toto_spec::ResourceKind;
 
 /// One declared fault. Hours are offsets from experiment start.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultSpec {
     /// A node crashes (abrupt, no drain) and restarts after
     /// `downtime_secs`. The chaos RNG picks the victim among up nodes at
@@ -73,61 +73,6 @@ pub enum FaultSpec {
         /// How many nodes go down at once.
         node_count: u32,
         /// Seconds until the nodes come back.
-        downtime_secs: u64,
-    },
-}
-
-/// A primitive, time-pinned injection produced by [`ChaosPlan::compile`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScheduledFault {
-    /// Seconds from experiment start.
-    pub at_secs: u64,
-    /// What to inject.
-    pub action: ChaosAction,
-}
-
-/// The primitive actions the experiment runner knows how to inject.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ChaosAction {
-    /// Abrupt crash of a seeded pick among up nodes (+ scheduled restart
-    /// after `downtime_secs`).
-    Crash {
-        /// Seconds until restart.
-        downtime_secs: u64,
-    },
-    /// Graceful drain (+ scheduled restart), one rolling-restart step.
-    Drain {
-        /// Node to drain.
-        node: u32,
-        /// Seconds until restart.
-        downtime_secs: u64,
-    },
-    /// Drain of a seeded pick among up nodes, with no restart.
-    Decommission,
-    /// Shrink a resource's per-node capacity to `factor` × configured.
-    Degrade {
-        /// Which metric shrinks.
-        resource: ResourceKind,
-        /// Multiplier in (0, 1].
-        factor: f64,
-    },
-    /// Undo a [`ChaosAction::Degrade`] for the same resource.
-    RestoreCapacity {
-        /// Which metric recovers.
-        resource: ResourceKind,
-    },
-    /// Open a report-loss window.
-    ReportLossStart {
-        /// Per-report drop probability in [0, 1].
-        drop_probability: f64,
-    },
-    /// Close the report-loss window.
-    ReportLossEnd,
-    /// Simultaneous crash of `node_count` distinct up nodes.
-    Storm {
-        /// How many nodes go down.
-        node_count: u32,
-        /// Seconds until all restart.
         downtime_secs: u64,
     },
 }
@@ -194,96 +139,4 @@ impl ChaosPlan {
         "rolling",
         "decommission",
     ];
-
-    /// Expand the plan into primitive actions for a run of
-    /// `duration_hours` on `node_count` nodes, sorted by time (stable:
-    /// ties fire in declaration order). Actions at or past the end of
-    /// the run are dropped.
-    pub fn compile(&self, node_count: u32, duration_hours: u64) -> Vec<ScheduledFault> {
-        let end_secs = duration_hours * 3600;
-        let mut out: Vec<ScheduledFault> = Vec::new();
-        for fault in &self.faults {
-            match fault {
-                FaultSpec::NodeCrash {
-                    at_hour,
-                    downtime_secs,
-                } => out.push(ScheduledFault {
-                    at_secs: at_hour * 3600,
-                    action: ChaosAction::Crash {
-                        downtime_secs: *downtime_secs,
-                    },
-                }),
-                FaultSpec::RollingRestart {
-                    start_hour,
-                    downtime_hours,
-                } => {
-                    for i in 0..u64::from(node_count) {
-                        out.push(ScheduledFault {
-                            at_secs: (start_hour + i * downtime_hours) * 3600,
-                            action: ChaosAction::Drain {
-                                node: i as u32,
-                                downtime_secs: downtime_hours * 3600,
-                            },
-                        });
-                    }
-                }
-                FaultSpec::Decommission { at_hour } => out.push(ScheduledFault {
-                    at_secs: at_hour * 3600,
-                    action: ChaosAction::Decommission,
-                }),
-                FaultSpec::CapacityDegrade {
-                    at_hour,
-                    resource,
-                    factor,
-                    restore_hour,
-                } => {
-                    out.push(ScheduledFault {
-                        at_secs: at_hour * 3600,
-                        action: ChaosAction::Degrade {
-                            resource: *resource,
-                            factor: *factor,
-                        },
-                    });
-                    if let Some(restore) = restore_hour {
-                        out.push(ScheduledFault {
-                            at_secs: restore * 3600,
-                            action: ChaosAction::RestoreCapacity {
-                                resource: *resource,
-                            },
-                        });
-                    }
-                }
-                FaultSpec::ReportLoss {
-                    from_hour,
-                    to_hour,
-                    drop_probability,
-                } => {
-                    out.push(ScheduledFault {
-                        at_secs: from_hour * 3600,
-                        action: ChaosAction::ReportLossStart {
-                            drop_probability: *drop_probability,
-                        },
-                    });
-                    out.push(ScheduledFault {
-                        at_secs: to_hour * 3600,
-                        action: ChaosAction::ReportLossEnd,
-                    });
-                }
-                FaultSpec::FailoverStorm {
-                    at_hour,
-                    node_count: k,
-                    downtime_secs,
-                } => out.push(ScheduledFault {
-                    at_secs: at_hour * 3600,
-                    action: ChaosAction::Storm {
-                        node_count: *k,
-                        downtime_secs: *downtime_secs,
-                    },
-                }),
-            }
-        }
-        out.retain(|f| f.at_secs < end_secs);
-        out.sort_by_key(|f| f.at_secs);
-        out
-    }
 }

@@ -5,8 +5,10 @@
 pub struct ChaosFaultRecord {
     /// Seconds from experiment start at which the fault fired.
     pub at_secs: u64,
-    /// Stable fault kind name (`node_crash`, `drain`, `drain_blocked`,
-    /// `decommission`, `capacity_degrade`, `report_loss`, `storm`).
+    /// Stable fault kind name: `node_crash`, `storm`, `drain`,
+    /// `drain_blocked`, `decommission`, `decommission_blocked`,
+    /// `capacity_degrade:<resource>` (e.g. `capacity_degrade:Disk`) or
+    /// `report_loss`.
     pub kind: String,
     /// The node hit, when the fault targets exactly one.
     pub node: Option<u32>,
@@ -15,7 +17,9 @@ pub struct ChaosFaultRecord {
     /// Reserved cores of the services whose replicas failed over.
     pub failed_over_cores: f64,
     /// Creation redirects that accumulated between the fault and its
-    /// recovery (0 for faults that recover instantly or never).
+    /// recovery. Only node restarts (after a crash, storm or drain) fill
+    /// it; capacity restores and loss-window ends, and faults that
+    /// recover instantly or never, leave it 0.
     pub redirects_delta: u64,
     /// Seconds until the fault's effect was undone (node restarted,
     /// capacity restored, loss window closed). `None` = permanent.

@@ -24,11 +24,13 @@ pub struct ChaosRuntime {
     pub oracle: InvariantOracle,
     /// Accumulating per-fault accounting.
     pub report: ChaosReport,
-    /// Per-report drop probability while a loss window is open.
-    pub drop_probability: Option<f64>,
-    /// Original per-node capacity of each degraded resource, by
-    /// `ResourceKind::index()`, so a restore is exact.
-    pub saved_capacity: [Option<f64>; 3],
+    /// The open report-loss window: its per-report drop probability and
+    /// the index of the fault record its end closes.
+    pub loss_window: Option<(f64, usize)>,
+    /// Each degraded resource, by `ResourceKind::index()`: its original
+    /// per-node capacity, so a restore is exact, and the index of the
+    /// fault record the restore closes.
+    pub degraded: [Option<(f64, usize)>; 3],
 }
 
 impl ChaosRuntime {
@@ -38,25 +40,9 @@ impl ChaosRuntime {
             rng: DetRng::seed_from_u64(chaos_seed(plb_seed)),
             oracle: InvariantOracle::new(placement_headroom),
             report: ChaosReport::default(),
-            drop_probability: None,
-            saved_capacity: [None; 3],
+            loss_window: None,
+            degraded: [None; 3],
         }
-    }
-
-    /// Pick one up node uniformly from the chaos stream (ids ascending,
-    /// so the draw is reproducible). `None` if every node is down.
-    pub fn pick_up_node(&mut self, cluster: &Cluster) -> Option<NodeId> {
-        let up: Vec<NodeId> = cluster
-            .nodes()
-            .iter()
-            .filter(|n| n.up)
-            .map(|n| n.id)
-            .collect();
-        if up.is_empty() {
-            return None;
-        }
-        let i = self.rng.next_below(up.len() as u64) as usize;
-        Some(up[i])
     }
 
     /// Pick up to `count` distinct up nodes (ascending candidate order,
@@ -114,10 +100,11 @@ mod tests {
         let mut a = ChaosRuntime::new(7, 1.0);
         let mut b = ChaosRuntime::new(7, 1.0);
         for _ in 0..20 {
-            let pa = a.pick_up_node(&c).unwrap();
-            let pb = b.pick_up_node(&c).unwrap();
+            let pa = a.pick_up_nodes(&c, 1);
+            let pb = b.pick_up_nodes(&c, 1);
             assert_eq!(pa, pb);
-            assert_ne!(pa, NodeId(2), "down node must never be picked");
+            assert_eq!(pa.len(), 1);
+            assert_ne!(pa[0], NodeId(2), "down node must never be picked");
         }
         let storm = a.pick_up_nodes(&c, 4);
         assert_eq!(storm.len(), 4);

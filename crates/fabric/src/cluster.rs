@@ -611,11 +611,6 @@ impl Cluster {
         self.violation_set.iter().copied().collect()
     }
 
-    /// True iff no node violates any metric's capacity. O(1).
-    pub fn has_violations(&self) -> bool {
-        !self.violation_set.is_empty()
-    }
-
     /// All up nodes in ascending order of cached node cost (ties broken
     /// by node id): the PLB's pruned candidate walk. Down nodes are
     /// excluded — they are never feasible targets.
@@ -1095,7 +1090,7 @@ mod tests {
         let rid = c.service(b).unwrap().replicas[0];
         c.move_replica(rid, NodeId(1));
         assert_eq!(c.violations(), full_scan(&c));
-        assert!(!c.has_violations());
+        assert!(c.violations().is_empty());
         // A load report re-violates just one metric.
         c.report_load(rid, disk, 1200.0);
         assert_eq!(c.violations(), vec![(NodeId(1), disk)]);

@@ -120,14 +120,6 @@ impl<O> FleetReport<O> {
             .iter()
             .all(|j| matches!(j.outcome, JobOutcome::Completed(_)))
     }
-
-    /// Completed jobs per wall-clock second.
-    pub fn jobs_per_sec(&self) -> f64 {
-        if self.wall_secs <= 0.0 {
-            return 0.0;
-        }
-        self.jobs.len() as f64 / self.wall_secs
-    }
 }
 
 /// A completed job's progress snapshot, handed to

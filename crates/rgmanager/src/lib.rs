@@ -195,10 +195,6 @@ pub struct RgManager {
     refresh_count: u64,
     /// Scratch buffer for persisted-state keys (reused across reports).
     key_scratch: String,
-    /// Naming Service blob version of `MODEL_KEY` seen at the previous
-    /// refresh. An unchanged blob can't produce a different compile
-    /// outcome, so the refresh skips the XML reparse entirely.
-    seen_blob_version: Option<u64>,
 }
 
 impl RgManager {
@@ -209,7 +205,6 @@ impl RgManager {
             models: None,
             refresh_count: 0,
             key_scratch: String::new(),
-            seen_blob_version: None,
         }
     }
 
@@ -239,13 +234,6 @@ impl RgManager {
         let Some((blob, blob_version)) = naming.get_versioned(MODEL_KEY) else {
             return false;
         };
-        if self.seen_blob_version == Some(blob_version) {
-            // The blob is byte-identical to the one already processed:
-            // reparsing it cannot change the outcome. A previous compile
-            // (or a previous rejection of this exact blob) stands.
-            return false;
-        }
-        self.seen_blob_version = Some(blob_version);
         let Some(models) = cache.compiled(blob, blob_version) else {
             return false;
         };

@@ -233,11 +233,6 @@ impl<S> Simulation<S> {
         self.post_dispatch = Some(Box::new(hook));
     }
 
-    /// Remove the post-dispatch hook, if any.
-    pub fn clear_post_dispatch(&mut self) {
-        self.post_dispatch = None;
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.scheduler.now
@@ -391,13 +386,6 @@ mod tests {
             });
         sim.run_to_completion();
         assert_eq!(sim.state(), &vec!["a", "hook", "b", "hook"]);
-        sim.clear_post_dispatch();
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(3), |s: &mut Vec<&'static str>, _| {
-                s.push("c")
-            });
-        sim.run_to_completion();
-        assert_eq!(sim.state().last(), Some(&"c"));
     }
 
     #[test]

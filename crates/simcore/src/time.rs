@@ -172,24 +172,6 @@ impl SimDuration {
     pub const fn as_secs(self) -> u64 {
         self.0
     }
-
-    /// Duration expressed as fractional hours.
-    #[inline]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_HOUR as f64
-    }
-
-    /// Duration expressed as fractional days.
-    #[inline]
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_DAY as f64
-    }
-
-    /// True iff the duration is zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -306,10 +288,10 @@ mod tests {
 
     #[test]
     fn duration_conversions() {
-        assert_eq!(SimDuration::from_days(2).as_days_f64(), 2.0);
-        assert_eq!(SimDuration::from_hours(3).as_hours_f64(), 3.0);
+        assert_eq!(SimDuration::from_days(2).as_secs(), 2 * SECS_PER_DAY);
+        assert_eq!(SimDuration::from_hours(3).as_secs(), 3 * SECS_PER_HOUR);
         assert_eq!(SimDuration::from_minutes(2).as_secs(), 120);
-        assert!(SimDuration::ZERO.is_zero());
+        assert_eq!(SimDuration::ZERO.as_secs(), 0);
     }
 
     #[test]

@@ -144,15 +144,6 @@ impl Telemetry {
             .count()
     }
 
-    /// Per-service accumulated downtime in seconds.
-    pub fn downtime_by_service(&self) -> std::collections::BTreeMap<u64, f64> {
-        let mut out = std::collections::BTreeMap::new();
-        for f in &self.failovers {
-            *out.entry(f.service).or_insert(0.0) += f.downtime_secs;
-        }
-        out
-    }
-
     /// Node-level values of one metric kind at all snapshot times, for
     /// the Wilcoxon comparisons: `(disk_gb, cores)` selectable by closure.
     pub fn node_values(&self, select: impl Fn(&NodeSnapshot) -> f64) -> Vec<f64> {
@@ -291,8 +282,6 @@ mod tests {
         assert_eq!(t.failed_over_cores(None), 20.0);
         assert_eq!(t.failed_over_cores(Some(EditionKind::PremiumBc)), 16.0);
         assert_eq!(t.failover_count(Some(EditionKind::StandardGp)), 1);
-        let downtime = t.downtime_by_service();
-        assert_eq!(downtime[&2], 60.0);
     }
 
     #[test]
