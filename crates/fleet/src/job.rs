@@ -61,6 +61,7 @@ pub struct FleetJob {
 
 /// What one fleet job produces: the experiment result plus, when the job
 /// opted in via [`FleetJob::trace`], the encoded `toto-trace` stream.
+#[derive(Debug)]
 pub struct JobOutput {
     /// The experiment's full result.
     pub result: ExperimentResult,

@@ -11,12 +11,15 @@
 //!   wall-clock per job and total, job statuses. This is where timing
 //!   lives, so it never contaminates the records.
 //!
-//! Layout under the store root (conventionally `results/`):
+//! Layout under the store root (conventionally `results/`), written for
+//! an executed fleet by [`RunStore::save_run`]:
 //!
 //! ```text
 //! results/
-//!   runs/<fleet>/manifest.json        (FleetManifest)
-//!   runs/<fleet>/<job-label>.json     (RunRecord, one per job)
+//!   runs/<fleet>/manifest.json          (FleetManifest, every job)
+//!   runs/<fleet>/<job-label>.json       (RunRecord, one per completed job)
+//!   runs/<fleet>/<job-label>.trace      (trace sidecar, traced jobs)
+//!   runs/<fleet>/<job-label>.chaos.json (chaos sidecar, chaos jobs)
 //! ```
 //!
 //! Every record and manifest carries [`RUN_SCHEMA_VERSION`]. The store
@@ -24,6 +27,8 @@
 //! compare bytes, and a tool that reads an artifact parses it with
 //! [`Json::parse`] and checks the version itself.
 
+use crate::executor::FleetReport;
+use crate::job::JobOutput;
 use crate::json::Json;
 use std::fs;
 use std::io;
@@ -72,6 +77,15 @@ impl RunRecord {
             redirect_count: result.redirect_count as u64,
             created_during_run: result.created_during_run,
         }
+    }
+
+    /// One record per completed job of an executed fleet, submission
+    /// order.
+    pub fn from_report(report: &FleetReport<JobOutput>) -> Vec<Self> {
+        report
+            .completed()
+            .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
+            .collect()
     }
 
     /// Serialize. Field order is fixed, so equal records render to equal
@@ -162,6 +176,28 @@ pub struct FleetManifest {
 }
 
 impl FleetManifest {
+    /// The manifest of an executed fleet: every job's status and
+    /// wall-clock, submission order.
+    pub fn from_report<O>(fleet: &str, root_seed: u64, report: &FleetReport<O>) -> Self {
+        FleetManifest {
+            schema_version: RUN_SCHEMA_VERSION,
+            fleet: fleet.to_string(),
+            root_seed,
+            threads: report.threads as u64,
+            wall_secs: report.wall_secs,
+            jobs: report
+                .jobs
+                .iter()
+                .map(|j| ManifestJob {
+                    label: j.label.clone(),
+                    seed: j.seed,
+                    status: j.outcome.status().to_string(),
+                    wall_secs: j.wall_secs,
+                })
+                .collect(),
+        }
+    }
+
     /// Serialize.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -227,6 +263,29 @@ impl RunStore {
                 dir.join(format!("{}.json", record.label)),
                 record.to_json().render(),
             )?;
+        }
+        Ok(dir)
+    }
+
+    /// Persist an executed fleet: the manifest, then for each completed
+    /// job in submission order its run record and its trace and chaos
+    /// sidecars when it produced them. Failed and cancelled jobs appear
+    /// only in the manifest. Returns the fleet directory.
+    pub fn save_run(
+        &self,
+        fleet: &str,
+        root_seed: u64,
+        report: &FleetReport<JobOutput>,
+    ) -> io::Result<PathBuf> {
+        let manifest = FleetManifest::from_report(fleet, root_seed, report);
+        let dir = self.save_fleet(&manifest, &RunRecord::from_report(report))?;
+        for (job, out) in report.completed() {
+            if let Some(trace) = &out.trace {
+                self.save_trace(fleet, &job.label, trace)?;
+            }
+            if let Some(chaos) = &out.result.chaos {
+                self.save_chaos(fleet, &job.label, &chaos.to_json())?;
+            }
         }
         Ok(dir)
     }
@@ -348,6 +407,99 @@ mod tests {
         assert_eq!(
             store.record_bytes("density-study", "density-120").unwrap(),
             records[0].to_json().render().into_bytes()
+        );
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_run_lists_a_failed_job_but_stores_only_completed_ones() {
+        use crate::executor::{JobOutcome, JobReport};
+
+        let dir =
+            std::env::temp_dir().join(format!("toto-fleet-save-run-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let plan = crate::job::density_fleet(42, &[100, 110, 120], 2);
+        let completed = |index: usize, trace: Option<&[u8]>, chaos: bool| {
+            let job = &plan.jobs()[index];
+            let mut result = job.execute();
+            if chaos {
+                result.chaos = Some(toto_chaos::ChaosReport::default());
+            }
+            JobReport {
+                index,
+                label: job.label.clone(),
+                seed: job.seed,
+                outcome: JobOutcome::Completed(JobOutput {
+                    result,
+                    trace: trace.map(<[u8]>::to_vec),
+                }),
+                wall_secs: 0.5,
+            }
+        };
+        let failed = JobReport {
+            index: 1,
+            label: plan.jobs()[1].label.clone(),
+            seed: plan.jobs()[1].seed,
+            outcome: JobOutcome::Failed("boom".to_string()),
+            wall_secs: 0.25,
+        };
+        let report = FleetReport {
+            jobs: vec![
+                completed(0, Some(b"trace-0"), true),
+                failed,
+                completed(2, None, false),
+            ],
+            threads: 2,
+            wall_secs: 1.0,
+        };
+        let store = RunStore::new(&dir);
+        let fleet_dir = store.save_run("mixed", 42, &report).unwrap();
+        assert_eq!(fleet_dir, dir.join("runs").join("mixed"));
+
+        let manifest = FleetManifest::from_report("mixed", 42, &report);
+        let statuses: Vec<&str> = manifest.jobs.iter().map(|j| j.status.as_str()).collect();
+        assert_eq!(statuses, ["completed", "failed", "completed"]);
+        assert_eq!(
+            store.artifact_bytes("mixed", "manifest.json").unwrap(),
+            manifest.to_json().render().into_bytes()
+        );
+
+        let records = RunRecord::from_report(&report);
+        let labels: Vec<&str> = records.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["density-100", "density-120"]);
+        for record in &records {
+            assert_eq!(
+                store.record_bytes("mixed", &record.label).unwrap(),
+                record.to_json().render().into_bytes()
+            );
+        }
+        assert_eq!(
+            store.trace_bytes("mixed", "density-100").unwrap(),
+            b"trace-0"
+        );
+        assert_eq!(
+            store
+                .artifact_bytes("mixed", "density-100.chaos.json")
+                .unwrap(),
+            toto_chaos::ChaosReport::default().to_json().into_bytes()
+        );
+
+        let mut files: Vec<String> = fs::read_dir(&fleet_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "density-100.chaos.json",
+                "density-100.json",
+                "density-100.trace",
+                "density-120.json",
+                "manifest.json",
+            ],
+            "nothing is written for the failed job"
         );
 
         let _ = fs::remove_dir_all(&dir);

@@ -25,10 +25,11 @@
 //! 3. [`record`] — per-ring KPI summaries, revenue splits and redirect
 //!    attribution aggregate into the [`record::RegionRunRecord`].
 //!
-//! The `study_region` binary compares single-ring density runs against
-//! a mixed-density region; `toto run` runs any region scenario (a
-//! built-in region or rings spelled out in `[region]`) through the
-//! worker pool.
+//! The `study_region` binary of `toto-bench` compares single-ring
+//! density runs against a mixed-density region; `toto run` runs any
+//! region scenario (a built-in region or rings spelled out in
+//! `[region]`) through the worker pool and stores its rings the way it
+//! stores any fleet.
 
 pub mod plan;
 pub mod record;
@@ -37,8 +38,6 @@ pub mod spec;
 
 pub use plan::{build_region_plan, RegionPlan, RingPlan};
 pub use record::{RegionRunRecord, RingEntry, REGION_SCHEMA_VERSION};
-pub use run::{
-    save_region_run, RegionRunOutput, RegionRunner, REGION_RECORD_FILE, REGION_TRACE_FILE,
-};
+pub use run::{RegionRunOutput, RegionRunner, REGION_RECORD_FILE, REGION_TRACE_FILE};
 pub use spec::{RegionSpec, RingSpec};
 pub use toto_controlplane::PlacementPolicy;

@@ -1,5 +1,7 @@
 //! Phases B and C: execute a region plan as parallel per-ring fleet
-//! jobs, then aggregate into the region run record.
+//! jobs, then aggregate into the region run record. The ring jobs' own
+//! artifacts (manifest, records, sidecars) are stored like any fleet's,
+//! through `RunStore::save_run` on [`RegionRunOutput::report`].
 //!
 //! Phase A ([`crate::plan`]) already decided every routing and lifecycle
 //! event, so each ring job is a self-contained directed experiment —
@@ -8,10 +10,7 @@
 
 use toto::experiment::ExperimentOverrides;
 use toto_chaos::{ChaosPlan, FaultSpec};
-use toto_fleet::{
-    FleetExecutor, FleetManifest, FleetObserver, FleetPlan, ManifestJob, NullObserver, RunRecord,
-    RunStore, RUN_SCHEMA_VERSION,
-};
+use toto_fleet::{FleetExecutor, FleetObserver, FleetPlan, FleetReport, JobOutput, NullObserver};
 
 use crate::plan::{build_region_plan, RegionPlan};
 use crate::record::{RegionRunRecord, RingEntry, REGION_SCHEMA_VERSION};
@@ -49,34 +48,17 @@ impl Default for RegionRunner {
     }
 }
 
-/// Per-ring sidecar payloads produced by a region run.
-#[derive(Clone, Debug)]
-pub struct RingSidecars {
-    /// Ring name (the job label).
-    pub label: String,
-    /// Encoded trace stream, when tracing was on.
-    pub trace: Option<Vec<u8>>,
-    /// Chaos report JSON, when the ring ran under a chaos plan.
-    pub chaos_json: Option<String>,
-}
-
 /// Everything a region run produces.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RegionRunOutput {
     /// The Phase A decisions (schedules, attribution, region trace).
     pub plan: RegionPlan,
     /// The aggregated region record.
     pub record: RegionRunRecord,
-    /// Per-ring run records, spec order.
-    pub ring_records: Vec<RunRecord>,
-    /// Observational manifest (threads, wall-clock, statuses).
-    pub manifest: FleetManifest,
-    /// Per-ring sidecars, spec order.
-    pub sidecars: Vec<RingSidecars>,
-    /// True iff every ring job completed.
-    pub all_completed: bool,
-    /// Total chaos invariant-oracle violations across rings.
-    pub oracle_violations: u64,
+    /// The Phase B ring jobs as the fleet executor reported them, spec
+    /// order: each ring's result, trace and chaos report, stored with
+    /// `RunStore::save_run`.
+    pub report: FleetReport<JobOutput>,
 }
 
 impl RegionRunner {
@@ -108,19 +90,13 @@ impl RegionRunner {
     }
 
     /// Run the region end to end: Phase A plan, Phase B parallel ring
-    /// jobs, Phase C aggregation. `fleet_name` names the artifact
-    /// directory in the manifest.
-    pub fn run(&self, spec: &RegionSpec, fleet_name: &str) -> RegionRunOutput {
-        self.run_observed(spec, fleet_name, &NullObserver)
+    /// jobs, Phase C aggregation.
+    pub fn run(&self, spec: &RegionSpec) -> RegionRunOutput {
+        self.run_observed(spec, &NullObserver)
     }
 
     /// [`run`](Self::run) with a progress observer for the ring jobs.
-    pub fn run_observed(
-        &self,
-        spec: &RegionSpec,
-        fleet_name: &str,
-        observer: &dyn FleetObserver,
-    ) -> RegionRunOutput {
+    pub fn run_observed(&self, spec: &RegionSpec, observer: &dyn FleetObserver) -> RegionRunOutput {
         let spec = self.effective_spec(spec);
         let plan = build_region_plan(&spec);
 
@@ -144,40 +120,28 @@ impl RegionRunner {
         let executor = FleetExecutor::new(self.threads);
         let report = executor.run(fleet.jobs(), observer);
 
-        let mut ring_records = Vec::new();
         let mut entries = Vec::new();
-        let mut sidecars = Vec::new();
         let mut region_kpis = toto_telemetry::kpi::KpiSummary::default();
         let mut region_revenue = toto_telemetry::revenue::RevenueBreakdown::default();
-        let mut oracle_violations = 0;
-        for (i, (job, ring)) in fleet.jobs().iter().zip(&spec.rings).enumerate() {
-            let Some(out) = report.jobs[i].outcome.output() else {
-                continue;
-            };
-            let record = RunRecord::from_result(&job.label, job.seed, &out.result);
+        for (job, out) in report.completed() {
+            let i = job.index;
+            let ring = &spec.rings[i];
+            let kpis = out.result.telemetry.summarize();
+            let revenue = out.result.revenue;
             entries.push(RingEntry {
                 name: ring.name.clone(),
                 density_percent: ring.density_percent,
                 node_count: ring.node_count,
                 start_hour: ring.start_hour,
                 decommission_hour: ring.decommission_hour,
-                kpis: record.kpis,
-                revenue: record.revenue,
+                kpis,
+                revenue,
                 stats: plan.stats[i].clone(),
                 directed_creates: plan.rings[i].schedule.create_count() as u64,
                 directed_drops: plan.rings[i].schedule.drop_count() as u64,
             });
-            region_kpis.accumulate(&record.kpis);
-            region_revenue.add(&record.revenue);
-            if let Some(chaos) = &out.result.chaos {
-                oracle_violations += chaos.oracle_violations;
-            }
-            sidecars.push(RingSidecars {
-                label: job.label.clone(),
-                trace: out.trace.clone(),
-                chaos_json: out.result.chaos.as_ref().map(|c| c.to_json()),
-            });
-            ring_records.push(record);
+            region_kpis.accumulate(&kpis);
+            region_revenue.add(&revenue);
         }
 
         let record = RegionRunRecord {
@@ -192,59 +156,12 @@ impl RegionRunner {
             cross_ring_redirects: plan.redirects.len() as u64,
             out_of_region: plan.out_of_region,
         };
-        let manifest = FleetManifest {
-            schema_version: RUN_SCHEMA_VERSION,
-            fleet: fleet_name.to_string(),
-            root_seed: spec.seed,
-            threads: report.threads as u64,
-            wall_secs: report.wall_secs,
-            jobs: report
-                .jobs
-                .iter()
-                .map(|j| ManifestJob {
-                    label: j.label.clone(),
-                    seed: j.seed,
-                    status: j.outcome.status().to_string(),
-                    wall_secs: j.wall_secs,
-                })
-                .collect(),
-        };
         RegionRunOutput {
             plan,
             record,
-            ring_records,
-            manifest,
-            sidecars,
-            all_completed: report.all_completed(),
-            oracle_violations,
+            report,
         }
     }
-}
-
-/// Persist a region run: manifest + per-ring records, per-ring trace and
-/// chaos sidecars, the region record (`region.json`) and the region
-/// control-plane trace (`region.trace`). Returns the fleet directory.
-pub fn save_region_run(
-    store: &RunStore,
-    output: &RegionRunOutput,
-) -> std::io::Result<std::path::PathBuf> {
-    let fleet = &output.manifest.fleet;
-    let dir = store.save_fleet(&output.manifest, &output.ring_records)?;
-    for sidecar in &output.sidecars {
-        if let Some(trace) = &sidecar.trace {
-            store.save_trace(fleet, &sidecar.label, trace)?;
-        }
-        if let Some(chaos) = &sidecar.chaos_json {
-            store.save_chaos(fleet, &sidecar.label, chaos)?;
-        }
-    }
-    store.save_artifact(
-        fleet,
-        REGION_RECORD_FILE,
-        output.record.to_json().render().as_bytes(),
-    )?;
-    store.save_artifact(fleet, REGION_TRACE_FILE, &output.plan.trace)?;
-    Ok(dir)
 }
 
 #[cfg(test)]
@@ -260,9 +177,9 @@ mod tests {
     #[test]
     fn region_run_aggregates_rings() {
         let runner = RegionRunner::default();
-        let out = runner.run(&tiny_spec(), "test-region");
-        assert!(out.all_completed);
-        assert_eq!(out.ring_records.len(), 2);
+        let out = runner.run(&tiny_spec());
+        assert!(out.report.all_completed());
+        assert_eq!(out.record.rings.len(), 2);
         let summed: f64 = out.record.rings.iter().map(|r| r.revenue.adjusted()).sum();
         assert!(
             (out.record.region_revenue.adjusted() - summed).abs() < 1e-6,

@@ -52,3 +52,4 @@ pub use doc::{
 pub use error::{OracleFailure, ScenarioError};
 pub use oracle::{record_family, FamilyFit, KsOracle};
 pub use runner::{run, RunOptions, RunSummary};
+pub use toto_region::{RegionRunner, RegionSpec};

@@ -13,6 +13,7 @@
 use crate::compile::{compile, CompiledFleet, CompiledPools, CompiledRegion, CompiledScenario};
 use crate::doc::ScenarioDoc;
 use crate::error::ScenarioError;
+use crate::oracle::KsOracle;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use toto::defaults::gen5_model_set;
@@ -21,11 +22,11 @@ use toto_fabric::cluster::{Cluster, ClusterConfig, ServiceSpec};
 use toto_fabric::metrics::{MetricDef, MetricRegistry};
 use toto_fabric::plb::{Plb, PlbConfig};
 use toto_fleet::{
-    kpis_to_json, FleetExecutor, FleetJob, FleetManifest, FleetObserver, Json, ManifestJob,
-    RunRecord, RunStore, RUN_SCHEMA_VERSION,
+    kpis_to_json, FleetExecutor, FleetJob, FleetObserver, FleetReport, JobOutput, Json, RunRecord,
+    RunStore,
 };
 use toto_models::compiled::CompiledModelSet;
-use toto_region::{save_region_run, RegionRunner};
+use toto_region::{RegionRunner, REGION_RECORD_FILE, REGION_TRACE_FILE};
 use toto_simcore::rng::SeedTree;
 use toto_simcore::time::SimTime;
 use toto_spec::EditionKind;
@@ -242,21 +243,50 @@ fn save_scenario_artifacts(
     store: &RunStore,
     fleet_name: &str,
     source: &str,
-    oracle_json: &Json,
+    oracle: &KsOracle,
 ) -> Result<(), ScenarioError> {
     let scenario_file = format!("{fleet_name}.scenario.toml");
     store
         .save_artifact(fleet_name, &scenario_file, source.as_bytes())
         .map_err(io_err(scenario_file))?;
+    let oracle_json = oracle.to_json().render();
     store
-        .save_artifact(fleet_name, "oracle.json", oracle_json.render().as_bytes())
+        .save_artifact(fleet_name, "oracle.json", oracle_json.as_bytes())
         .map_err(io_err("oracle.json"))?;
     Ok(())
 }
 
-/// Execute the fleet's jobs (plus any `--seeds` replicas) and store it:
-/// manifest, run records, the trace and chaos sidecars of every job that
-/// produced them, the scenario artifacts and `sweep.json`.
+/// Store an executed fleet and the scenario artifacts, and summarize the
+/// run from its report. Fleet and region runs both end here.
+fn save_fleet_run(
+    store: &RunStore,
+    fleet_name: &str,
+    root_seed: u64,
+    report: &FleetReport<JobOutput>,
+    source: &str,
+    oracle: &KsOracle,
+) -> Result<RunSummary, ScenarioError> {
+    let dir = store
+        .save_run(fleet_name, root_seed, report)
+        .map_err(io_err(store.root().display().to_string()))?;
+    save_scenario_artifacts(store, fleet_name, source, oracle)?;
+    let completed = report.completed().count();
+    Ok(RunSummary {
+        dir,
+        fleet_name: fleet_name.to_string(),
+        completed,
+        failed: report.jobs.len() - completed,
+        chaos_violations: report
+            .completed()
+            .filter_map(|(_, out)| out.result.chaos.as_ref())
+            .map(|c| c.oracle_violations)
+            .sum(),
+        oracle_families: oracle.families().len(),
+    })
+}
+
+/// Execute the fleet's jobs (plus any `--seeds` replicas), store them and
+/// the scenario artifacts, and write `sweep.json`.
 fn run_fleet(
     doc: &ScenarioDoc,
     fleet: CompiledFleet,
@@ -268,68 +298,27 @@ fn run_fleet(
     let jobs = fleet_replica_jobs(doc, &fleet, seeds)?;
     let fleet_name = fleet.fleet_name.as_str();
     let report = FleetExecutor::new(options.threads).run(&jobs, observer);
-    let records: Vec<RunRecord> = report
-        .completed()
-        .map(|(job, out)| RunRecord::from_result(&job.label, job.seed, &out.result))
-        .collect();
-    let manifest = FleetManifest {
-        schema_version: RUN_SCHEMA_VERSION,
-        fleet: fleet_name.to_string(),
-        root_seed: fleet.root_seed,
-        threads: report.threads as u64,
-        wall_secs: report.wall_secs,
-        jobs: report
-            .jobs
-            .iter()
-            .map(|j| ManifestJob {
-                label: j.label.clone(),
-                seed: j.seed,
-                status: j.outcome.status().to_string(),
-                wall_secs: j.wall_secs,
-            })
-            .collect(),
-    };
     let store = RunStore::new(&options.out);
-    let dir = store
-        .save_fleet(&manifest, &records)
-        .map_err(io_err(options.out.clone()))?;
-    for (job, out) in report.completed() {
-        if let Some(trace) = &out.trace {
-            store
-                .save_trace(fleet_name, &job.label, trace)
-                .map_err(io_err(format!("{}.trace", job.label)))?;
-        }
-        if let Some(chaos) = &out.result.chaos {
-            store
-                .save_chaos(fleet_name, &job.label, &chaos.to_json())
-                .map_err(io_err(format!("{}.chaos.json", job.label)))?;
-        }
-    }
-    save_scenario_artifacts(&store, fleet_name, source, &fleet.oracle.to_json())?;
+    let summary = save_fleet_run(
+        &store,
+        fleet_name,
+        fleet.root_seed,
+        &report,
+        source,
+        &fleet.oracle,
+    )?;
     // Always written, even at --seeds 1: the single-sample verdict in the
     // stats says "spread unknown" explicitly instead of the file silently
     // not existing (or, worse, reporting a zero CI).
+    let sweep = sweep_json(&RunRecord::from_report(&report), seeds);
     store
-        .save_artifact(
-            fleet_name,
-            "sweep.json",
-            sweep_json(&records, seeds).render().as_bytes(),
-        )
+        .save_artifact(fleet_name, "sweep.json", sweep.render().as_bytes())
         .map_err(io_err("sweep.json"))?;
-    Ok(RunSummary {
-        dir,
-        fleet_name: fleet_name.to_string(),
-        completed: records.len(),
-        failed: report.failed_count(),
-        chaos_violations: report
-            .completed()
-            .filter_map(|(_, out)| out.result.chaos.as_ref())
-            .map(|c| c.oracle_violations)
-            .sum(),
-        oracle_families: fleet.oracle.families().len(),
-    })
+    Ok(summary)
 }
 
+/// Run the region's rings, store them and the scenario artifacts, and
+/// write the region record and control-plane trace.
 fn run_region(
     region: CompiledRegion,
     source: &str,
@@ -342,24 +331,25 @@ fn run_region(
         chaos: region.chaos,
         chaos_ring: region.chaos_ring,
     };
-    let output = runner.run_observed(&region.spec, &region.fleet_name, observer);
+    let output = runner.run_observed(&region.spec, observer);
+    let fleet_name = region.fleet_name.as_str();
     let store = RunStore::new(&options.out);
-    let dir = save_region_run(&store, &output).map_err(io_err(options.out.clone()))?;
-    save_scenario_artifacts(&store, &region.fleet_name, source, &region.oracle.to_json())?;
-    let completed = output
-        .manifest
-        .jobs
-        .iter()
-        .filter(|j| j.status == "completed")
-        .count();
-    Ok(RunSummary {
-        dir,
-        fleet_name: region.fleet_name,
-        completed,
-        failed: output.manifest.jobs.len() - completed,
-        chaos_violations: output.oracle_violations,
-        oracle_families: region.oracle.families().len(),
-    })
+    let summary = save_fleet_run(
+        &store,
+        fleet_name,
+        region.spec.seed,
+        &output.report,
+        source,
+        &region.oracle,
+    )?;
+    let record = output.record.to_json().render();
+    store
+        .save_artifact(fleet_name, REGION_RECORD_FILE, record.as_bytes())
+        .map_err(io_err(REGION_RECORD_FILE))?;
+    store
+        .save_artifact(fleet_name, REGION_TRACE_FILE, &output.plan.trace)
+        .map_err(io_err(REGION_TRACE_FILE))?;
+    Ok(summary)
 }
 
 fn pools_ring() -> Cluster {
@@ -473,7 +463,7 @@ fn run_pools(
         .parent()
         .map(PathBuf::from)
         .unwrap_or_default();
-    save_scenario_artifacts(&store, &pools.fleet_name, source, &pools.oracle.to_json())?;
+    save_scenario_artifacts(&store, &pools.fleet_name, source, &pools.oracle)?;
     Ok(RunSummary {
         dir,
         fleet_name: pools.fleet_name,
@@ -511,7 +501,7 @@ mod tests {
             ..Default::default()
         };
         RunRecord {
-            schema_version: RUN_SCHEMA_VERSION,
+            schema_version: toto_fleet::RUN_SCHEMA_VERSION,
             label: label.to_string(),
             seed,
             scenario_xml: String::new(),

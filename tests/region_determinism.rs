@@ -9,6 +9,7 @@
 //! change that ring's placement decisions, but sibling rings — and
 //! every routing decision the control plane makes — stay byte-identical.
 
+use toto_fleet::RunRecord;
 use toto_region::{RegionRunner, RegionSpec};
 
 fn run_region(spec: &RegionSpec, threads: usize) -> toto_region::RegionRunOutput {
@@ -17,9 +18,25 @@ fn run_region(spec: &RegionSpec, threads: usize) -> toto_region::RegionRunOutput
         trace: true,
         ..RegionRunner::default()
     };
-    let out = runner.run(spec, "region-determinism");
-    assert!(out.all_completed, "every ring job must complete");
+    let out = runner.run(spec);
+    assert!(out.report.all_completed(), "every ring job must complete");
     out
+}
+
+/// Each ring's rendered run record, spec order.
+fn ring_records(out: &toto_region::RegionRunOutput) -> Vec<String> {
+    RunRecord::from_report(&out.report)
+        .iter()
+        .map(|r| r.to_json().render())
+        .collect()
+}
+
+/// Each ring's trace bytes, spec order.
+fn ring_traces(out: &toto_region::RegionRunOutput) -> Vec<Vec<u8>> {
+    out.report
+        .completed()
+        .map(|(_, o)| o.trace.clone().expect("rings are traced"))
+        .collect()
 }
 
 #[test]
@@ -37,21 +54,15 @@ fn region_run_is_byte_identical_on_1_and_8_threads() {
         serial.plan.trace, parallel.plan.trace,
         "region control-plane trace must not depend on worker count"
     );
-    for (a, b) in serial.ring_records.iter().zip(&parallel.ring_records) {
-        assert_eq!(
-            a.to_json().render(),
-            b.to_json().render(),
-            "ring record {} must not depend on worker count",
-            a.label
-        );
-    }
-    for (a, b) in serial.sidecars.iter().zip(&parallel.sidecars) {
-        assert_eq!(
-            a.trace, b.trace,
-            "ring trace {} must not depend on worker count",
-            a.label
-        );
-    }
+    assert_eq!(
+        ring_records(&serial),
+        ring_records(&parallel),
+        "ring records must not depend on worker count"
+    );
+    assert!(
+        ring_traces(&serial) == ring_traces(&parallel),
+        "ring traces must not depend on worker count"
+    );
 }
 
 #[test]
@@ -62,20 +73,21 @@ fn plb_perturbation_of_one_ring_leaves_siblings_byte_identical() {
 
     let base = run_region(&spec, 4);
     let other = run_region(&perturbed, 4);
+    let (base_traces, other_traces) = (ring_traces(&base), ring_traces(&other));
 
     // The perturbed ring's placement decisions (hence its trace) move...
     assert_ne!(
-        base.sidecars[0].trace, other.sidecars[0].trace,
+        base_traces[0], other_traces[0],
         "a PLB perturbation must actually change the perturbed ring"
     );
     // ...but the sibling replays byte-identically: record and trace.
     assert_eq!(
-        base.ring_records[1].to_json().render(),
-        other.ring_records[1].to_json().render(),
+        ring_records(&base)[1],
+        ring_records(&other)[1],
         "sibling ring record must be unaffected by the perturbation"
     );
     assert_eq!(
-        base.sidecars[1].trace, other.sidecars[1].trace,
+        base_traces[1], other_traces[1],
         "sibling ring trace must be byte-identical under the perturbation"
     );
     // The control plane never consumes a PLB seed at all.
