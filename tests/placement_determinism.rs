@@ -225,3 +225,65 @@ fn placements_on_a_256_node_ring_match_the_pinned_digest() {
     assert!(rejected > 0, "the ring never filled up");
     assert_eq!(digest, PINNED, "placement digest moved: {digest:#018x}");
 }
+
+#[test]
+fn placements_on_a_1000_node_ring_match_the_pinned_digest() {
+    // The bootstrap's ring size, in the debug test build, so the PLB's
+    // debug cross-checks run at 1,000 nodes: 4,000 seeded placements of
+    // both editions. General Purpose (1 replica) loads come in runs of
+    // a repeated load, as a bootstrap population places them; Business
+    // Critical (4 replicas) loads are new every time. One departure in
+    // five; the ring fills until larger specs start to be rejected. The
+    // digest covers every replica's node and every rejection's feasible
+    // count.
+    const PINNED: u64 = 0x21ba_ab26_523b_8c0f;
+    let mut cluster = ring(1_000, 100);
+    let mut plb = Plb::new(PlbConfig::default(), 42);
+    let mut rng = DetRng::seed_from_u64(0x1000_0100);
+    let mut live = Vec::new();
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut rejected = 0;
+    let mut general = cluster.metrics().zero_load();
+    for i in 0..4_000u64 {
+        let critical = rng.next_below(4) == 0;
+        let load = if critical {
+            let mut load = cluster.metrics().zero_load();
+            load[MetricId(0)] = 10.0 + rng.next_f64() * 30.0;
+            load[MetricId(1)] = 50.0 + rng.next_f64() * 300.0;
+            load
+        } else {
+            if rng.next_below(16) == 0 || general[MetricId(0)] == 0.0 {
+                general[MetricId(0)] = 2.0 + rng.next_f64() * 8.0;
+                general[MetricId(1)] = 20.0 + rng.next_f64() * 100.0;
+            }
+            general.clone()
+        };
+        let spec = ServiceSpec {
+            name: format!("db-{i}"),
+            tag: i,
+            replica_count: if critical { 4 } else { 1 },
+            default_load: load,
+        };
+        match plb.create_service(&mut cluster, &spec, SimTime::from_secs(i)) {
+            Ok(id) => {
+                for &r in &cluster.service(id).expect("just created").replicas {
+                    let node = cluster.replica(r).expect("just placed").node;
+                    fold(&mut digest, u64::from(node.raw()));
+                }
+                live.push(id);
+            }
+            Err(PlacementError::NotEnoughNodes { feasible, .. }) => {
+                rejected += 1;
+                fold(&mut digest, u64::MAX);
+                fold(&mut digest, u64::from(feasible));
+            }
+        }
+        if i % 5 == 4 && !live.is_empty() {
+            let gone = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+            cluster.remove_service(gone).expect("live service");
+        }
+    }
+    cluster.check_invariants();
+    assert!(rejected > 0, "the ring never filled up");
+    assert_eq!(digest, PINNED, "placement digest moved: {digest:#018x}");
+}
