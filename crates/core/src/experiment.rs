@@ -1096,7 +1096,7 @@ fn chaos_recover(state: &mut ExperimentState, now: SimTime, idx: usize, redirect
 
 /// Reserved cores of the services whose replicas a graceful drain moved.
 /// Drain moves are not telemetry failovers, so the cores are summed from
-/// the catalog directly.
+/// the catalog directly, from +0.0 (an empty f64 `sum` is -0.0).
 fn drained_cores(state: &ExperimentState, events: &[FailoverEvent]) -> f64 {
     events
         .iter()
@@ -1109,7 +1109,7 @@ fn drained_cores(state: &ExperimentState, events: &[FailoverEvent]) -> f64 {
                 .map(|s| s.vcores as f64)
                 .unwrap_or(0.0)
         })
-        .sum()
+        .fold(0.0, |cores, c| cores + c)
 }
 
 /// Schedule the restart of `nodes` `downtime_secs` from now (unless that
@@ -1178,11 +1178,9 @@ fn chaos_crash(
     for &node in &nodes {
         state.cluster.set_node_up(node, false);
     }
-    // A storm sums its victims' moved cores from +0.0; a single crash
-    // reports its node's own sum, -0.0 when nothing moved (an empty f64
-    // sum is -0.0, the identity of addition). Pinned chaos reports hold
-    // both forms.
-    let mut moved = (0u64, if storm { 0.0 } else { -0.0 });
+    // Moved cores add up from +0.0, so a crash that moves nothing
+    // records 0.0: an empty f64 `sum` alone is -0.0.
+    let mut moved = (0u64, 0.0);
     for &node in &nodes {
         toto_trace::emit(toto_trace::EventKind::ChaosNodeCrash, || {
             toto_trace::EventBody::ChaosNodeCrash {
@@ -1442,6 +1440,27 @@ mod chaos_tests {
             let chaos = r.chaos.unwrap_or_else(|| panic!("{plan}: report present"));
             assert_eq!(chaos.oracle_violations, 0, "{plan}: oracles stay quiet");
             assert!(!chaos.faults.is_empty(), "{plan}: faults recorded");
+        }
+    }
+
+    #[test]
+    fn a_crash_or_drain_that_moves_nothing_records_positive_zero_cores() {
+        // An empty ring at hour 2: the crashed or drained node hosts no
+        // replica, so nothing moves.
+        for plan in ["node-crash", "decommission"] {
+            let mut s = scenario(100, 3);
+            s.bootstrap_standard_gp = 0;
+            s.bootstrap_premium_bc = 0;
+            s.node_count = 200;
+            let r = DensityExperiment::new(s, with_plan(plan)).run();
+            let chaos = r.chaos.unwrap_or_else(|| panic!("{plan}: report present"));
+            let fault = &chaos.faults[0];
+            assert_eq!(fault.failovers, 0, "{plan}: the node was empty");
+            assert_eq!(
+                fault.failed_over_cores.to_bits(),
+                0.0f64.to_bits(),
+                "{plan}: moved nothing, so +0.0 cores"
+            );
         }
     }
 
