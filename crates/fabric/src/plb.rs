@@ -170,8 +170,7 @@ struct Scratch {
     /// `INFINITY` for infeasible nodes.
     marginal: Vec<f64>,
     /// Each node's change stamp as the cached ranking read it, indexed
-    /// by raw node id. `u64::MAX`, which the cluster never issues,
-    /// forces a recompute.
+    /// by raw node id.
     stamps: Vec<u64>,
     /// The bits the cached ranking was computed from: placement
     /// headroom, the spec's default load, then each metric's capacity
@@ -179,10 +178,11 @@ struct Scratch {
     key: Vec<u64>,
     /// Feasible nodes recomputed for the current placement.
     changed: Vec<(f64, NodeId)>,
-    /// Stale nodes collected by the current placement's walk, in the
-    /// previous order.
+    /// Stale nodes found by the current placement's stamp scan, in id
+    /// order.
     stale: Vec<NodeId>,
-    /// Merge output, swapped into `ranked`.
+    /// Merge output, swapped into `ranked`; also the radix sort's
+    /// second buffer.
     merged: Vec<(f64, NodeId)>,
     /// Candidate nodes for the current decision, in evaluation order.
     candidates: Vec<NodeId>,
@@ -284,6 +284,62 @@ impl Plb {
         a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
     }
 
+    /// `cost`'s bits as an unsigned integer that orders like
+    /// `f64::total_cmp`: a negative cost has every bit flipped, a
+    /// non-negative one its sign bit set. So `(cost_key(c), n)` orders
+    /// `(c, n)` exactly like [`rank_cmp`](Self::rank_cmp).
+    fn cost_key(cost: f64) -> u64 {
+        let bits = cost.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+
+    /// Below this many entries [`sort_ranked`](Self::sort_ranked) uses
+    /// the comparison sort: a radix pass costs a 256-bucket scatter.
+    const RADIX_MIN_LEN: usize = 64;
+
+    /// Sort `entries`, given in ascending node-id order, into
+    /// [`rank_cmp`](Self::rank_cmp) order. A stable LSD radix sort on
+    /// [`cost_key`](Self::cost_key), one byte a pass, so equal costs
+    /// keep id order; a byte that every key shares is skipped. `buf` is
+    /// working space.
+    fn sort_ranked(entries: &mut Vec<(f64, NodeId)>, buf: &mut Vec<(f64, NodeId)>) {
+        debug_assert!(entries.windows(2).all(|w| w[0].1 < w[1].1));
+        if entries.len() < Self::RADIX_MIN_LEN {
+            entries.sort_by(Self::rank_cmp);
+            return;
+        }
+        let mut counts = [[0u32; 256]; 8];
+        for &(cost, _) in entries.iter() {
+            let key = Self::cost_key(cost);
+            for (byte, count) in counts.iter_mut().enumerate() {
+                count[(key >> (8 * byte)) as u8 as usize] += 1;
+            }
+        }
+        buf.clear();
+        buf.resize(entries.len(), (0.0, NodeId(0)));
+        for (byte, count) in counts.iter().enumerate() {
+            if count.contains(&(entries.len() as u32)) {
+                continue;
+            }
+            let mut offsets = [0u32; 256];
+            let mut at = 0;
+            for (offset, &c) in offsets.iter_mut().zip(count) {
+                *offset = at;
+                at += c;
+            }
+            for &entry in entries.iter() {
+                let digit = (Self::cost_key(entry.0) >> (8 * byte)) as u8 as usize;
+                buf[offsets[digit] as usize] = entry;
+                offsets[digit] += 1;
+            }
+            std::mem::swap(entries, buf);
+        }
+    }
+
     /// Decide a placement for a new service: `replica_count` distinct
     /// nodes, primary first. Does not mutate the cluster.
     ///
@@ -297,11 +353,16 @@ impl Plb {
     /// those bits and the node count match, only nodes whose stamp moved
     /// are recomputed (a placement that repeats the previous load after
     /// that placement's service was added recomputes the nodes it landed
-    /// on); otherwise every node is. The unchanged entries keep their order,
-    /// the recomputed ones are sorted and merged in. The sort key is a
-    /// strict total order, so the ranked list, the marginal table, every
-    /// RNG draw and the returned placement are those of a full
-    /// recompute, which debug builds check.
+    /// on); otherwise every node is, in id order, and radix-sorted on an
+    /// integer key. The unchanged entries keep their order, the recomputed
+    /// ones are sorted and merged in. The sort key is a strict total
+    /// order, so the ranked list, the marginal table, every RNG draw and
+    /// the returned placement are those of a full recompute, which debug
+    /// builds check.
+    ///
+    /// A single replica never collides with itself, so the anneal for
+    /// `replica_count == 1` skips the fault-domain bookkeeping; it makes
+    /// the same draws and the same accepts as the general loop.
     pub fn place_new_service(
         &mut self,
         cluster: &Cluster,
@@ -356,72 +417,106 @@ impl Plb {
             // Simulated-annealing refinement: try swapping a chosen node
             // for an unchosen feasible one. The candidate slot is mutated
             // in place and reverted on rejection, so the loop allocates
-            // nothing; the collision count is maintained in O(1) per swap
-            // from per-domain membership counts (`collisions = k −
-            // distinct domains`) instead of re-sorted every iteration.
-            let counts = &mut self.scratch.domains;
-            counts.clear();
-            counts.resize(cluster.fault_domain_count(), 0);
-            let mut distinct: usize = 0;
-            for &n in chosen.iter() {
-                let d = cluster.node(n).fault_domain as usize;
-                if counts[d] == 0 {
-                    distinct += 1;
-                }
-                counts[d] += 1;
-            }
+            // nothing.
             let mut temperature = self.config.initial_temperature;
-            let mut cur_collisions = (k - distinct) as f64;
-            // The accumulator must start on the same objective the deltas
-            // move it along — marginal cost *plus* the collision penalty
-            // of the greedy start — or it silently drifts away from the
-            // real objective whenever the greedy start has collisions.
-            let mut cost: f64 = chosen.iter().map(|&n| marginal[n.0 as usize]).sum::<f64>()
-                + Self::DOMAIN_COLLISION_PENALTY * cur_collisions;
+            let mut cost: f64;
             let mut accepted: u64 = 0;
-            for _ in 0..self.config.anneal_iterations {
-                let slot = self.rng.next_below(k as u64) as usize;
-                let alt = feasible[self.rng.next_below(feasible.len() as u64) as usize].1;
-                if chosen.contains(&alt) {
-                    temperature *= self.config.cooling;
-                    continue;
-                }
-                let prev = chosen[slot];
-                chosen[slot] = alt;
-                let dp = cluster.node(prev).fault_domain as usize;
-                let da = cluster.node(alt).fault_domain as usize;
-                counts[dp] -= 1;
-                if counts[dp] == 0 {
-                    distinct -= 1;
-                }
-                if counts[da] == 0 {
-                    distinct += 1;
-                }
-                counts[da] += 1;
-                let alt_collisions = (k - distinct) as f64;
-                debug_assert_eq!(
-                    alt_collisions,
-                    Self::domain_collisions(cluster, &chosen, &mut Vec::new()),
-                    "incremental collision count diverged from recount"
-                );
-                let delta = marginal[alt.0 as usize] - marginal[prev.0 as usize]
-                    + Self::DOMAIN_COLLISION_PENALTY * (alt_collisions - cur_collisions);
-                if delta < 0.0 || self.rng.next_f64() < (-delta / temperature.max(1e-12)).exp() {
-                    cost += delta;
-                    cur_collisions = alt_collisions;
-                    accepted += 1;
-                } else {
-                    chosen[slot] = prev;
-                    counts[da] -= 1;
-                    if counts[da] == 0 {
-                        distinct -= 1;
+            if k == 1 {
+                // One replica never collides, so this is the loop below
+                // with the domain counts left out: the same draws (the
+                // slot draw included), the same accepts, and sums whose
+                // `+ 0.0` is the zero collision term (it turns -0.0 into
+                // +0.0).
+                cost = marginal[chosen[0].0 as usize] + 0.0;
+                for _ in 0..self.config.anneal_iterations {
+                    self.rng.next_below(1);
+                    let alt = feasible[self.rng.next_below(feasible.len() as u64) as usize].1;
+                    let prev = chosen[0];
+                    if alt != prev {
+                        debug_assert_eq!(
+                            Self::domain_collisions(cluster, &[alt], &mut Vec::new()),
+                            0.0,
+                            "a single replica collided"
+                        );
+                        let delta = marginal[alt.0 as usize] - marginal[prev.0 as usize] + 0.0;
+                        if delta < 0.0
+                            || self.rng.next_f64() < (-delta / temperature.max(1e-12)).exp()
+                        {
+                            cost += delta;
+                            chosen[0] = alt;
+                            accepted += 1;
+                        }
                     }
-                    if counts[dp] == 0 {
+                    temperature *= self.config.cooling;
+                }
+            } else {
+                // The collision count is maintained in O(1) per swap from
+                // per-domain membership counts (`collisions = k − distinct
+                // domains`) instead of re-sorted every iteration.
+                let counts = &mut self.scratch.domains;
+                counts.clear();
+                counts.resize(cluster.fault_domain_count(), 0);
+                let mut distinct: usize = 0;
+                for &n in chosen.iter() {
+                    let d = cluster.node(n).fault_domain as usize;
+                    if counts[d] == 0 {
                         distinct += 1;
                     }
-                    counts[dp] += 1;
+                    counts[d] += 1;
                 }
-                temperature *= self.config.cooling;
+                let mut cur_collisions = (k - distinct) as f64;
+                // The accumulator must start on the same objective the
+                // deltas move it along — marginal cost *plus* the
+                // collision penalty of the greedy start — or it silently
+                // drifts away from the real objective whenever the greedy
+                // start has collisions.
+                cost = chosen.iter().map(|&n| marginal[n.0 as usize]).sum::<f64>()
+                    + Self::DOMAIN_COLLISION_PENALTY * cur_collisions;
+                for _ in 0..self.config.anneal_iterations {
+                    let slot = self.rng.next_below(k as u64) as usize;
+                    let alt = feasible[self.rng.next_below(feasible.len() as u64) as usize].1;
+                    if chosen.contains(&alt) {
+                        temperature *= self.config.cooling;
+                        continue;
+                    }
+                    let prev = chosen[slot];
+                    chosen[slot] = alt;
+                    let dp = cluster.node(prev).fault_domain as usize;
+                    let da = cluster.node(alt).fault_domain as usize;
+                    counts[dp] -= 1;
+                    if counts[dp] == 0 {
+                        distinct -= 1;
+                    }
+                    if counts[da] == 0 {
+                        distinct += 1;
+                    }
+                    counts[da] += 1;
+                    let alt_collisions = (k - distinct) as f64;
+                    debug_assert_eq!(
+                        alt_collisions,
+                        Self::domain_collisions(cluster, &chosen, &mut Vec::new()),
+                        "incremental collision count diverged from recount"
+                    );
+                    let delta = marginal[alt.0 as usize] - marginal[prev.0 as usize]
+                        + Self::DOMAIN_COLLISION_PENALTY * (alt_collisions - cur_collisions);
+                    if delta < 0.0 || self.rng.next_f64() < (-delta / temperature.max(1e-12)).exp()
+                    {
+                        cost += delta;
+                        cur_collisions = alt_collisions;
+                        accepted += 1;
+                    } else {
+                        chosen[slot] = prev;
+                        counts[da] -= 1;
+                        if counts[da] == 0 {
+                            distinct -= 1;
+                        }
+                        if counts[dp] == 0 {
+                            distinct += 1;
+                        }
+                        counts[dp] += 1;
+                    }
+                    temperature *= self.config.cooling;
+                }
             }
             if cfg!(debug_assertions) {
                 // The accumulator must track the real objective through
@@ -456,13 +551,15 @@ impl Plb {
     }
 
     /// Bring the cached ranking and marginal table up to date for
-    /// placing `load` on `cluster`. A ring of another size starts again
-    /// from id order; a change in any key bit marks every node stale.
-    /// One walk over the previous order (the ranked list, then the
-    /// infeasible nodes) keeps the fresh entries in place and collects
-    /// the stale ones; those are recomputed, stable-sorted (the previous
-    /// order makes them nearly sorted) and merged into the kept entries
-    /// one binary-searched chunk at a time.
+    /// placing `load` on `cluster`. A ring of another size or a change in
+    /// any key bit makes every node stale: each is costed in id order and
+    /// the feasible ones are sorted ([`sort_ranked`](Self::sort_ranked));
+    /// there is nothing fresh to keep. Otherwise a scan of the change
+    /// stamps finds the stale nodes, in id order. A single stale node's
+    /// entry is found by binary search and moved to its new place. More
+    /// are dropped from the ranked and infeasible lists in one walk each,
+    /// recomputed, sorted and merged into the kept entries one
+    /// binary-searched chunk at a time.
     fn rank(&mut self, cluster: &Cluster, load: &LoadVec) {
         let headroom = self.config.placement_headroom;
         let Scratch {
@@ -477,15 +574,7 @@ impl Plb {
             ..
         } = &mut self.scratch;
         let n = cluster.node_count();
-        if stamps.len() != n {
-            ranked.clear();
-            skipped.clear();
-            skipped.extend((0..n as u32).map(NodeId));
-            marginal.clear();
-            marginal.resize(n, f64::INFINITY);
-            stamps.clear();
-            stamps.resize(n, u64::MAX);
-        }
+        let now = cluster.node_stamps();
         let bits = || {
             std::iter::once(headroom.to_bits())
                 .chain(load.as_slice().iter().map(|v| v.to_bits()))
@@ -493,26 +582,74 @@ impl Plb {
                     [def.node_capacity.to_bits(), def.balancing_weight.to_bits()]
                 }))
         };
-        if !key.iter().copied().eq(bits()) {
+        if stamps.len() != n || !key.iter().copied().eq(bits()) {
             key.clear();
             key.extend(bits());
-            stamps.fill(u64::MAX);
+            stamps.clear();
+            stamps.extend_from_slice(now);
+            ranked.clear();
+            skipped.clear();
+            marginal.clear();
+            for id in (0..n as u32).map(NodeId) {
+                match Self::fit_cost(cluster, id, load, headroom) {
+                    Some(cost) => {
+                        marginal.push(cost);
+                        ranked.push((cost, id));
+                    }
+                    None => {
+                        marginal.push(f64::INFINITY);
+                        skipped.push(id);
+                    }
+                }
+            }
+            Self::sort_ranked(ranked, merged);
+            return;
         }
-        let now = cluster.node_stamps();
         stale.clear();
+        stale.extend(
+            (0..n)
+                .filter(|&i| stamps[i] != now[i])
+                .map(|i| NodeId(i as u32)),
+        );
+        if let [id] = stale[..] {
+            // One stale node, as after a placement that repeats the
+            // previous load: move its entry from its old place to its new.
+            let i = id.0 as usize;
+            stamps[i] = now[i];
+            let from = ranked
+                .binary_search_by(|e| Self::rank_cmp(e, &(marginal[i], id)))
+                .ok();
+            let cost = Self::fit_cost(cluster, id, load, headroom);
+            marginal[i] = cost.unwrap_or(f64::INFINITY);
+            match (from, cost) {
+                (Some(from), Some(cost)) => {
+                    let entry = (cost, id);
+                    let to = ranked.partition_point(|e| Self::rank_cmp(e, &entry).is_lt());
+                    if to > from {
+                        ranked[from..to].rotate_left(1);
+                        ranked[to - 1] = entry;
+                    } else {
+                        ranked[to..=from].rotate_right(1);
+                        ranked[to] = entry;
+                    }
+                }
+                (Some(from), None) => {
+                    ranked.remove(from);
+                    skipped.push(id);
+                }
+                (None, Some(cost)) => {
+                    skipped.retain(|&s| s != id);
+                    let entry = (cost, id);
+                    let to = ranked.partition_point(|e| Self::rank_cmp(e, &entry).is_lt());
+                    ranked.insert(to, entry);
+                }
+                (None, None) => {}
+            }
+            return;
+        }
         let fresh = |n: NodeId| stamps[n.0 as usize] == now[n.0 as usize];
-        ranked.retain(|&(_, n)| {
-            fresh(n) || {
-                stale.push(n);
-                false
-            }
-        });
-        skipped.retain(|&n| {
-            fresh(n) || {
-                stale.push(n);
-                false
-            }
-        });
+        ranked.retain(|&(_, n)| fresh(n));
+        skipped.retain(|&n| fresh(n));
         changed.clear();
         for &n in stale.iter() {
             let i = n.0 as usize;
@@ -528,7 +665,7 @@ impl Plb {
                 }
             }
         }
-        changed.sort_by(Self::rank_cmp);
+        Self::sort_ranked(changed, merged);
         merged.clear();
         let mut rest = &ranked[..];
         for entry in changed.iter() {
@@ -2054,6 +2191,268 @@ mod tests {
                     prop_assert!(order.iter().copied().eq((0..nodes).map(NodeId)));
                     if let Ok(placement) = placed {
                         if rng.next_below(2) == 0 {
+                            c.add_service(&s, &placement, SimTime::ZERO);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cost_key_orders_like_total_cmp_and_ties_by_node_id() {
+        let subnormal = f64::from_bits(1);
+        let costs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -1e-310,
+            -subnormal,
+            -0.0,
+            0.0,
+            subnormal,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let entries: Vec<(f64, NodeId)> = costs
+            .iter()
+            .flat_map(|&c| [(c, NodeId(0)), (c, NodeId(1)), (c, NodeId(u32::MAX))])
+            .collect();
+        for a in &entries {
+            for b in &entries {
+                assert_eq!(
+                    (Plb::cost_key(a.0), a.1).cmp(&(Plb::cost_key(b.0), b.1)),
+                    Plb::rank_cmp(a, b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sort_ranked_matches_the_comparison_sort_on_both_sides_of_the_cut_off() {
+        // Costs from a small pool (many ties, so node-id order decides)
+        // with the special values mixed in, and wide random ones (every
+        // byte of the key varies, so no radix pass is skipped).
+        let specials = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            0.125,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = DetRng::seed_from_u64(0x5027);
+        let cut = Plb::RADIX_MIN_LEN;
+        for len in [0, 1, 2, cut - 1, cut, cut + 1, 300, 1_000] {
+            for wide in [false, true] {
+                let mut entries: Vec<(f64, NodeId)> = (0..len as u32)
+                    .map(|n| {
+                        let cost = if wide {
+                            f64::from_bits(rng.next_raw())
+                        } else {
+                            specials[rng.next_below(specials.len() as u64) as usize]
+                        };
+                        (cost, NodeId(n))
+                    })
+                    .collect();
+                let mut expected = entries.clone();
+                expected.sort_by(Plb::rank_cmp);
+                Plb::sort_ranked(&mut entries, &mut Vec::new());
+                let bits = |v: &[(f64, NodeId)]| {
+                    v.iter().map(|&(c, n)| (c.to_bits(), n)).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&entries), bits(&expected), "len {len}, wide {wide}");
+            }
+        }
+    }
+
+    /// The placement algorithm as it was before the radix-sorted ranking
+    /// and the single-replica anneal, kept as the property's reference:
+    /// every node costed and sorted with [`Plb::rank_cmp`], then the
+    /// domain-counting anneal for every replica count. Returns the
+    /// placement, the ranked list, the marginal table and the anneal's
+    /// accept count (`None` when there was no anneal).
+    #[allow(clippy::type_complexity)]
+    fn reference_place(
+        p: &mut Plb,
+        cluster: &Cluster,
+        spec: &ServiceSpec,
+    ) -> (
+        Result<Vec<NodeId>, PlacementError>,
+        Vec<(f64, NodeId)>,
+        Vec<f64>,
+        Option<u64>,
+    ) {
+        let k = spec.replica_count as usize;
+        let headroom = p.config.placement_headroom;
+        let mut feasible: Vec<(f64, NodeId)> = cluster
+            .nodes()
+            .iter()
+            .filter_map(|node| {
+                Plb::fit_cost(cluster, node.id, &spec.default_load, headroom).map(|c| (c, node.id))
+            })
+            .collect();
+        feasible.sort_by(Plb::rank_cmp);
+        let mut marginal = vec![f64::INFINITY; cluster.node_count()];
+        for &(cost, n) in &feasible {
+            marginal[n.0 as usize] = cost;
+        }
+        if feasible.len() < k {
+            let err = PlacementError::NotEnoughNodes {
+                needed: spec.replica_count,
+                feasible: feasible.len() as u32,
+            };
+            return (Err(err), feasible, marginal, None);
+        }
+        let mut chosen: Vec<NodeId> = Vec::new();
+        let mut used_domains: Vec<u32> = Vec::new();
+        for &(_, n) in feasible.iter() {
+            let d = cluster.node(n).fault_domain;
+            if chosen.len() < k && !used_domains.contains(&d) {
+                chosen.push(n);
+                used_domains.push(d);
+            }
+        }
+        for &(_, n) in feasible.iter() {
+            if chosen.len() < k && !chosen.contains(&n) {
+                chosen.push(n);
+            }
+        }
+        let mut accepted = None;
+        if feasible.len() > k {
+            let mut counts = vec![0u32; cluster.fault_domain_count()];
+            let mut distinct: usize = 0;
+            for &n in chosen.iter() {
+                let d = cluster.node(n).fault_domain as usize;
+                if counts[d] == 0 {
+                    distinct += 1;
+                }
+                counts[d] += 1;
+            }
+            let mut temperature = p.config.initial_temperature;
+            let mut cur_collisions = (k - distinct) as f64;
+            let mut count = 0;
+            for _ in 0..p.config.anneal_iterations {
+                let slot = p.rng.next_below(k as u64) as usize;
+                let alt = feasible[p.rng.next_below(feasible.len() as u64) as usize].1;
+                if chosen.contains(&alt) {
+                    temperature *= p.config.cooling;
+                    continue;
+                }
+                let prev = chosen[slot];
+                chosen[slot] = alt;
+                let dp = cluster.node(prev).fault_domain as usize;
+                let da = cluster.node(alt).fault_domain as usize;
+                counts[dp] -= 1;
+                if counts[dp] == 0 {
+                    distinct -= 1;
+                }
+                if counts[da] == 0 {
+                    distinct += 1;
+                }
+                counts[da] += 1;
+                let alt_collisions = (k - distinct) as f64;
+                let delta = marginal[alt.0 as usize] - marginal[prev.0 as usize]
+                    + Plb::DOMAIN_COLLISION_PENALTY * (alt_collisions - cur_collisions);
+                if delta < 0.0 || p.rng.next_f64() < (-delta / temperature.max(1e-12)).exp() {
+                    cur_collisions = alt_collisions;
+                    count += 1;
+                } else {
+                    chosen[slot] = prev;
+                    counts[da] -= 1;
+                    if counts[da] == 0 {
+                        distinct -= 1;
+                    }
+                    if counts[dp] == 0 {
+                        distinct += 1;
+                    }
+                    counts[dp] += 1;
+                }
+                temperature *= p.config.cooling;
+            }
+            accepted = Some(count);
+        }
+        chosen.sort_by(|&a, &b| {
+            marginal[a.0 as usize]
+                .total_cmp(&marginal[b.0 as usize])
+                .then(a.cmp(&b))
+        });
+        (Ok(chosen), feasible, marginal, accepted)
+    }
+
+    /// `p.place_new_service`, with the accept count of the anneal it ran
+    /// (`None` when there was no anneal), read from its trace event.
+    fn place_counting_accepts(
+        p: &mut Plb,
+        cluster: &Cluster,
+        spec: &ServiceSpec,
+    ) -> (Result<Vec<NodeId>, PlacementError>, Option<u64>) {
+        let sink = toto_trace::Shared::new(
+            toto_trace::RingSink::new(1).with_mask(toto_trace::EventKind::AnnealSummary.bit()),
+        );
+        let guard = toto_trace::SessionGuard::install(Box::new(sink.clone()));
+        let placed = p.place_new_service(cluster, spec);
+        drop(guard);
+        let accepted = sink.with(|s| s.snapshot()).last().map(|e| match e.body {
+            toto_trace::EventBody::AnnealSummary { accepted, .. } => accepted,
+            ref other => panic!("unexpected event {other:?}"),
+        });
+        (placed, accepted)
+    }
+
+    mod reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn placement_matches_the_reference_algorithm(
+                nodes in 1u32..1201,
+                fault_domains in 1u32..501,
+                steps in 1usize..24,
+                seed: u64,
+            ) {
+                let mut rng = DetRng::seed_from_u64(seed);
+                let mut c = random_ring(nodes, fault_domains, &mut rng);
+                let mut s = random_spec(&c, &mut rng);
+                let mut p = plb(seed);
+                let mut reference = p.clone();
+                for _ in 0..steps {
+                    // Most placements carry a new load, as Business
+                    // Critical drafts do; the rest repeat the last one.
+                    if rng.next_below(4) != 0 {
+                        s = random_spec(&c, &mut rng);
+                    }
+                    for _ in 0..rng.next_below(3) {
+                        mutate(&mut c, &mut rng);
+                    }
+                    let (placed, accepted) = place_counting_accepts(&mut p, &c, &s);
+                    let (expected, ranked, marginal, expected_accepted) =
+                        reference_place(&mut reference, &c, &s);
+                    prop_assert_eq!(&placed, &expected);
+                    prop_assert_eq!(accepted, expected_accepted);
+                    prop_assert_eq!(&p.rng, &reference.rng);
+                    let bits = |v: &[(f64, NodeId)]| {
+                        v.iter().map(|&(c, n)| (c.to_bits(), n)).collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(bits(&p.scratch.ranked), bits(&ranked));
+                    prop_assert_eq!(
+                        p.scratch.marginal.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                        marginal.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+                    );
+                    if let Ok(placement) = placed {
+                        if rng.next_below(4) != 0 {
                             c.add_service(&s, &placement, SimTime::ZERO);
                         }
                     }
