@@ -77,13 +77,6 @@ impl ElasticPool {
         });
     }
 
-    /// Remove a member by identity; returns true if it existed.
-    pub fn remove_member(&mut self, identity: u64) -> bool {
-        let before = self.members.len();
-        self.members.retain(|m| m.identity != identity);
-        self.members.len() != before
-    }
-
     /// Advance every member's disk through the model set and return the
     /// pool's aggregate disk usage — the value the pool's replicas report
     /// to the PLB in place of per-database metrics.
@@ -184,9 +177,7 @@ mod tests {
         for i in 0..20 {
             pool.add_member(i, SimTime::ZERO, 10.0);
         }
-        assert!(pool.remove_member(7));
-        assert!(!pool.remove_member(7));
-        assert_eq!(pool.len(), 19);
+        assert_eq!(pool.len(), 20);
         // No new services, no new replicas.
         assert_eq!(cluster.service_count(), services_before);
     }

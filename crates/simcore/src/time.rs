@@ -120,12 +120,6 @@ impl SimTime {
         SimTime(self.0 - self.0 % SECS_PER_HOUR)
     }
 
-    /// The start of the next hour strictly after this instant.
-    #[inline]
-    pub fn next_hour(self) -> SimTime {
-        self.truncate_to_hour() + SimDuration::from_hours(1)
-    }
-
     /// Saturating subtraction producing a duration.
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -269,13 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn truncate_and_next_hour() {
+    fn truncate_to_hour_rounds_down() {
         let t = SimTime::from_secs(3 * SECS_PER_HOUR + 1234);
         assert_eq!(t.truncate_to_hour().as_secs(), 3 * SECS_PER_HOUR);
-        assert_eq!(t.next_hour().as_secs(), 4 * SECS_PER_HOUR);
-        // An exact hour boundary advances to the following hour.
+        // An exact hour boundary is its own hour's start.
         let exact = SimTime::from_secs(4 * SECS_PER_HOUR);
-        assert_eq!(exact.next_hour().as_secs(), 5 * SECS_PER_HOUR);
+        assert_eq!(exact.truncate_to_hour(), exact);
     }
 
     #[test]

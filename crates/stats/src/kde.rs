@@ -42,17 +42,6 @@ impl GaussianKde {
         })
     }
 
-    /// Fit with an explicit bandwidth (`> 0`).
-    pub fn with_bandwidth(xs: &[f64], bandwidth: f64) -> Option<Self> {
-        if xs.is_empty() || bandwidth.is_nan() || bandwidth <= 0.0 {
-            return None;
-        }
-        Some(GaussianKde {
-            points: xs.to_vec(),
-            bandwidth,
-        })
-    }
-
     /// The bandwidth in use.
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth
@@ -99,7 +88,6 @@ mod tests {
     #[test]
     fn empty_sample_rejected() {
         assert!(GaussianKde::fit(&[]).is_none());
-        assert!(GaussianKde::with_bandwidth(&[1.0], 0.0).is_none());
     }
 
     #[test]

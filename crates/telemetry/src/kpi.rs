@@ -47,15 +47,6 @@ impl TimeSeries {
     pub fn last_value(&self) -> Option<f64> {
         self.points.last().map(|(_, v)| *v)
     }
-
-    /// Value at or before `t` (step interpolation), if any.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.binary_search_by(|(pt, _)| pt.cmp(&t)) {
-            Ok(i) => Some(self.points[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
-        }
-    }
 }
 
 /// One failover, enriched with what the QoS analysis needs.
@@ -248,17 +239,6 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.push(SimTime::from_secs(10), 1.0);
         ts.push(SimTime::from_secs(5), 2.0);
-    }
-
-    #[test]
-    fn value_at_steps() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(10), 1.0);
-        ts.push(SimTime::from_secs(20), 2.0);
-        assert_eq!(ts.value_at(SimTime::from_secs(5)), None);
-        assert_eq!(ts.value_at(SimTime::from_secs(10)), Some(1.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(15)), Some(1.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(99)), Some(2.0));
     }
 
     fn record(edition: EditionKind, cores: f64, service: u64) -> FailoverRecord {
