@@ -348,6 +348,55 @@ mod tests {
         assert_eq!(r.telemetry.contended_governance_passes, 34);
     }
 
+    /// Figure 7's K-S rows as `(model family, accepted, cells)`.
+    fn ks_rows(text: &str) -> Vec<(&str, u32, u32)> {
+        text.lines()
+            .filter_map(|line| {
+                let (head, _) = line.split_once(" cells > ")?;
+                let (accepted, cells) = head.rsplit(' ').next()?.split_once('/')?;
+                let family = line.split_whitespace().next()?;
+                Some((family, accepted.parse().ok()?, cells.parse().ok()?))
+            })
+            .collect()
+    }
+
+    /// Figure 13's Wilcoxon rows as `(insignificant, rows)`.
+    fn wilcoxon_verdicts(text: &str) -> (usize, usize) {
+        let verdicts: Vec<&str> = text
+            .lines()
+            .filter(|line| line.starts_with("disk: ") || line.starts_with("cores: "))
+            .filter_map(|line| line.split_whitespace().last())
+            .collect();
+        let insignificant = verdicts.iter().filter(|&&v| v == "insignificant").count();
+        (insignificant, verdicts.len())
+    }
+
+    #[test]
+    fn the_pinned_fig07_and_fig13_keep_the_paper_claims() {
+        // Figure 7: only Premium/BC model cells ever fail the K-S test.
+        let fig07 = include_str!("../../../results/fig07_ks_validation.txt");
+        let rows = ks_rows(fig07);
+        assert_eq!(rows.len(), 8, "two editions × create/drop × day kinds");
+        let short = |rows: &[(&str, u32, u32)]| {
+            rows.iter()
+                .filter(|&&(_, accepted, cells)| accepted < cells)
+                .map(|&(family, _, _)| family.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert!(short(&rows).iter().all(|f| f == "PremiumBc"), "{rows:?}");
+        // The predicate can fail: a short Standard/GP row breaks it.
+        let broken = fig07.replacen("24/24 cells", "23/24 cells", 1);
+        assert!(short(&ks_rows(&broken)).contains(&"StandardGp".to_string()));
+        // Figure 13: at least 5 of the 6 pairwise Wilcoxon tests find no
+        // significant difference between PLB seeds (the paper's 5/6).
+        let fig13 = include_str!("../../../results/fig13_nondeterminism.txt");
+        let (insignificant, total) = wilcoxon_verdicts(fig13);
+        assert_eq!(total, 6);
+        assert!(insignificant >= 5, "{insignificant}/{total} insignificant");
+        let broken = fig13.replacen("insignificant", "significant", 2);
+        assert_eq!(wilcoxon_verdicts(&broken), (4, 6));
+    }
+
     #[test]
     fn the_pinned_density_study_keeps_every_paper_claim() {
         let mut results = run_density_study(None, default_threads());
